@@ -11,10 +11,12 @@
 //! every recorder off, gated at ≤2% against the pre-recorder
 //! trajectory), and a fault-layer overhead probe (the same run with
 //! no fault plan armed, under the same ≤2% budget) — over N
-//! repetitions, and writes `BENCH_PR<n>.json` with
+//! repetitions, and writes a JSON (`BENCH_PR<n>.json`) with
 //! median + IQR wall time, throughput in scenario work units per
 //! second, and peak RSS (from `/proc/self/status` where available).
-//! One such file per PR is the performance trajectory of the harness.
+//! One such file per PR is the performance trajectory of the harness;
+//! the default `--out` is `results/perfgate.json`, so a trajectory file
+//! is only ever written when named explicitly.
 //! The first three scenarios run the serial engine, so their
 //! trajectory records that single-process hot-path speed survives the
 //! concurrency refactor.
@@ -28,6 +30,9 @@
 //!   cargo run -p rb-bench --release --bin perfgate [-- --quick]
 //!       [--reps N] [--out FILE] [--baseline FILE] [--only NAME]
 //!       [--gate RATIO]
+//!
+//! `--help` prints the usage and exits 0; any other argument is an
+//! error (usage on stderr, exit 2) rather than a full suite run.
 //!
 //! `--quick` runs fewer repetitions (a CI smoke that still writes valid
 //! JSON). `--baseline FILE` reads a previous perfgate JSON and reports
@@ -83,6 +88,49 @@ fn peak_rss_bytes() -> Option<u64> {
         }
     }
     None
+}
+
+/// Printed by `--help` (exit 0) and after a bad argument (exit 2).
+const USAGE: &str = "usage: perfgate [--quick] [--reps N] [--out FILE] [--baseline FILE] \
+                     [--only NAME] [--gate RATIO]\n\
+                     \n  --quick          fewer repetitions (3 unless --reps)\
+                     \n  --reps N         repetitions per scenario (default 7)\
+                     \n  --out FILE       JSON output (default results/perfgate.json)\
+                     \n  --baseline FILE  report speedups against an earlier perfgate JSON\
+                     \n  --only NAME      run one scenario in this process\
+                     \n  --gate RATIO     exit 1 if a baselined speedup falls below RATIO\n";
+
+/// The flags that take a value (as `--name VALUE` or `--name=VALUE`).
+const VALUE_FLAGS: [&str; 5] = ["reps", "out", "baseline", "only", "gate"];
+
+/// Validates the command line before anything runs: `--help` prints the
+/// usage and exits 0; an unknown argument or a value flag without its
+/// value prints the usage to stderr and exits 2.
+fn check_args() {
+    fn fail(msg: String) -> ! {
+        eprintln!("error: {msg}\n{USAGE}");
+        std::process::exit(2);
+    }
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let name = arg.strip_prefix("--").unwrap_or("");
+        match arg.as_str() {
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                std::process::exit(0);
+            }
+            "--quick" | "-q" => {}
+            _ if VALUE_FLAGS.contains(&name) => {
+                if args.next().is_none() {
+                    fail(format!("{arg} needs a value"));
+                }
+            }
+            _ if name
+                .split_once('=')
+                .is_some_and(|(n, _)| VALUE_FLAGS.contains(&n)) => {}
+            _ => fail(format!("unknown argument {arg:?}")),
+        }
+    }
 }
 
 fn flag(name: &str) -> Option<String> {
@@ -649,6 +697,7 @@ fn finish(scenario_body: String, rss: Option<u64>, quick: bool, reps: usize, out
 }
 
 fn main() {
+    check_args();
     let quick = std::env::args().any(|a| a == "--quick" || a == "-q");
     let reps: usize = match flag("reps") {
         Some(v) => v.parse().unwrap_or_else(|_| {
@@ -658,7 +707,7 @@ fn main() {
         None if quick => 3,
         None => 7,
     };
-    let out_path = flag("out").unwrap_or_else(|| "BENCH_PR10.json".to_string());
+    let out_path = flag("out").unwrap_or_else(|| "results/perfgate.json".to_string());
     let only = flag("only");
 
     // The parent dispatches children by name; only a child (--only) or

@@ -240,34 +240,20 @@ pub fn run_closed_loop_in<D: SchedDriver + ?Sized>(
                 process,
                 arrived,
                 core,
-            } => {
-                driver.set_device_floor(device.next_free());
-                match driver.exec(process, now) {
-                    Ok(cost) => {
-                        let after_cpu = now + cost.cpu;
-                        let completed = if cost.device.is_zero() {
-                            after_cpu
-                        } else {
-                            device.serve(after_cpu, cost.device)
-                        };
-                        queue.schedule(
-                            completed,
-                            Event::Done {
-                                process,
-                                arrived,
-                                issued: now,
-                                core,
-                                cost,
-                            },
-                        );
-                    }
-                    Err(e) => {
-                        driver.on_error(process, now, e)?;
-                        // Errors still paid the think time; rearrive now.
-                        queue.schedule(now, Event::Arrive(process));
-                    }
-                }
-            }
+            } => match issue(driver, &mut device, process, now)? {
+                Some((completed, cost)) => queue.schedule(
+                    completed,
+                    Event::Done {
+                        process,
+                        arrived,
+                        issued: now,
+                        core,
+                        cost,
+                    },
+                ),
+                // Errors still paid the think time; rearrive now.
+                None => queue.schedule(now, Event::Arrive(process)),
+            },
             Event::Done {
                 process,
                 arrived,
@@ -296,16 +282,50 @@ pub fn run_closed_loop_in<D: SchedDriver + ?Sized>(
                     // drain.
                     continue;
                 }
-                let start = device.next_free().max(now);
-                let spent = driver.tick(start);
-                if !spent.is_zero() {
-                    device.serve(start, spent);
-                }
+                tick(driver, &mut device, now);
                 queue.schedule(now + config.tick_every, Event::Tick);
             }
         }
     }
     Ok(SchedOutcome { finished })
+}
+
+/// The Issue step both pumps share: executes `process`'s operation at
+/// `now` and returns its completion instant (CPU on the process's own
+/// timeline, then the shared device queue) and cost. A failed op is
+/// routed to [`SchedDriver::on_error`] and yields `None`.
+fn issue<D: SchedDriver + ?Sized>(
+    driver: &mut D,
+    device: &mut DeviceQueue,
+    process: u32,
+    now: Nanos,
+) -> SimResult<Option<(Nanos, OpCost)>> {
+    driver.set_device_floor(device.next_free());
+    match driver.exec(process, now) {
+        Ok(cost) => {
+            let after_cpu = now + cost.cpu;
+            let completed = if cost.device.is_zero() {
+                after_cpu
+            } else {
+                device.serve(after_cpu, cost.device)
+            };
+            Ok(Some((completed, cost)))
+        }
+        Err(e) => {
+            driver.on_error(process, now, e)?;
+            Ok(None)
+        }
+    }
+}
+
+/// The Tick step both pumps share: one flusher pass starting when the
+/// device frees up, its media time charged to the device queue.
+fn tick<D: SchedDriver + ?Sized>(driver: &mut D, device: &mut DeviceQueue, now: Nanos) {
+    let start = device.next_free().max(now);
+    let spent = driver.tick(start);
+    if !spent.is_zero() {
+        device.serve(start, spent);
+    }
 }
 
 /// How requests arrive at the system.
@@ -684,7 +704,9 @@ pub fn run_open_loop_in<D: SchedDriver + ?Sized>(
     }
 
     while let Some((now, event)) = queue.pop() {
-        match event {
+        // The worker this event frees, if any: it takes the oldest
+        // queued request or goes idle.
+        let freed = match event {
             OpenEvent::Arrive => {
                 out.offered += 1;
                 // Lowest-index idle worker first: deterministic, like
@@ -710,54 +732,32 @@ pub fn run_open_loop_in<D: SchedDriver + ?Sized>(
                 if next < end {
                     queue.schedule(next, OpenEvent::Arrive);
                 }
+                None
             }
             OpenEvent::Issue {
                 worker,
                 arrived,
                 core,
-            } => {
-                driver.set_device_floor(device.next_free());
-                match driver.exec(worker, now) {
-                    Ok(cost) => {
-                        let after_cpu = now + cost.cpu;
-                        let completed = if cost.device.is_zero() {
-                            after_cpu
-                        } else {
-                            device.serve(after_cpu, cost.device)
-                        };
-                        queue.schedule(
-                            completed,
-                            OpenEvent::Done {
-                                worker,
-                                arrived,
-                                issued: now,
-                                core,
-                                cost,
-                            },
-                        );
-                    }
-                    Err(e) => {
-                        driver.on_error(worker, now, e)?;
-                        out.failed += 1;
-                        // The request is consumed (open loops don't retry);
-                        // the worker immediately picks up the next one.
-                        match pending.pop_front() {
-                            Some(arrived) => {
-                                let (core, cpu_done) = cores.claim_indexed(now, sched.think);
-                                queue.schedule(
-                                    cpu_done,
-                                    OpenEvent::Issue {
-                                        worker,
-                                        arrived,
-                                        core,
-                                    },
-                                );
-                            }
-                            None => idle[worker as usize] = true,
-                        }
-                    }
+            } => match issue(driver, &mut device, worker, now)? {
+                Some((completed, cost)) => {
+                    queue.schedule(
+                        completed,
+                        OpenEvent::Done {
+                            worker,
+                            arrived,
+                            issued: now,
+                            core,
+                            cost,
+                        },
+                    );
+                    None
                 }
-            }
+                None => {
+                    // The request is consumed (open loops don't retry).
+                    out.failed += 1;
+                    Some(worker)
+                }
+            },
             OpenEvent::Done {
                 worker,
                 arrived,
@@ -775,20 +775,7 @@ pub fn run_open_loop_in<D: SchedDriver + ?Sized>(
                     completed: now,
                     cost,
                 })?;
-                match pending.pop_front() {
-                    Some(arrived) => {
-                        let (core, cpu_done) = cores.claim_indexed(now, sched.think);
-                        queue.schedule(
-                            cpu_done,
-                            OpenEvent::Issue {
-                                worker,
-                                arrived,
-                                core,
-                            },
-                        );
-                    }
-                    None => idle[worker as usize] = true,
-                }
+                Some(worker)
             }
             OpenEvent::Tick => {
                 if now >= end {
@@ -796,12 +783,9 @@ pub fn run_open_loop_in<D: SchedDriver + ?Sized>(
                     // flusher interference while the tail drains.
                     continue;
                 }
-                let start = device.next_free().max(now);
-                let spent = driver.tick(start);
-                if !spent.is_zero() {
-                    device.serve(start, spent);
-                }
+                tick(driver, &mut device, now);
                 queue.schedule(now + sched.tick_every, OpenEvent::Tick);
+                None
             }
             OpenEvent::Sample => {
                 if now >= end {
@@ -809,6 +793,23 @@ pub fn run_open_loop_in<D: SchedDriver + ?Sized>(
                 }
                 samples.push((now - sched.start, pending.len() as u32));
                 queue.schedule(now + config.sample_every, OpenEvent::Sample);
+                None
+            }
+        };
+        if let Some(worker) = freed {
+            match pending.pop_front() {
+                Some(arrived) => {
+                    let (core, cpu_done) = cores.claim_indexed(now, sched.think);
+                    queue.schedule(
+                        cpu_done,
+                        OpenEvent::Issue {
+                            worker,
+                            arrived,
+                            core,
+                        },
+                    );
+                }
+                None => idle[worker as usize] = true,
             }
         }
     }

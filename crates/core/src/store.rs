@@ -67,7 +67,7 @@ use crate::runner::Verdict;
 /// engine semantics change (anything that could alter a cell's numbers
 /// for the same spec): every existing record then hashes to a dead
 /// address and the grid re-executes, which is exactly the safe default.
-pub const CODE_SALT: &str = "rb-store-v1";
+pub const CODE_SALT: &str = "rb-store-v2";
 
 /// First line of every record file; the version gate for the format.
 const RECORD_HEADER: &str = "rocketbench-cell-record v1";

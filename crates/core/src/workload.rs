@@ -8,7 +8,7 @@
 //! the other classic personalities (web server, file server, varmail,
 //! postmark) are provided for the broader suite.
 
-use crate::sched::{Arrival, Completion, OpenLoopConfig, SchedDriver};
+use crate::sched::{Arrival, Completion, OpenLoopConfig, SchedConfig, SchedDriver};
 use crate::target::Target;
 use rb_simcore::dist::{Dist, Zipf};
 use rb_simcore::error::{SimError, SimResult};
@@ -165,8 +165,8 @@ pub struct EngineConfig {
     pub cpu_jitter_sigma: f64,
     /// Abort after this many consecutive operation errors.
     pub max_errors: u64,
-    /// Concurrent closed-loop worker processes. `1` runs the classic
-    /// serial loop (byte-identical to the pre-concurrency engine);
+    /// Concurrent closed-loop worker processes. `1` runs the serial
+    /// loop on the target's own clock (any target);
     /// `N > 1` drives N workers through the [`crate::sched`]
     /// discrete-event scheduler, contending for [`EngineConfig::cores`]
     /// and the shared device. Requires a target that supports
@@ -418,11 +418,15 @@ impl Engine {
 
     /// Runs the measured phase against already-set-up file sets.
     ///
-    /// With [`EngineConfig::processes`] `== 1` this is the classic
-    /// serial loop, byte-identical to the pre-concurrency engine. With
-    /// `processes > 1` the same flowop mix drives N closed-loop workers
-    /// through the [`crate::sched`] discrete-event scheduler, contending
-    /// for cores and the shared device.
+    /// Every mode shares one prologue, one op executor
+    /// (`EngineDriver`) and one epilogue; they differ only in who
+    /// moves the clock. With [`EngineConfig::processes`] `== 1` and a
+    /// closed loop, the serial loop issues each op at the target clock
+    /// and then advances it. With `processes > 1` the same flowop mix
+    /// drives N closed-loop workers through the [`crate::sched`]
+    /// discrete-event scheduler, contending for cores and the shared
+    /// device; an open [`EngineConfig::arrival`] feeds the open-loop
+    /// pump instead.
     pub fn run_prepared(
         target: &mut dyn Target,
         workload: &Workload,
@@ -432,11 +436,19 @@ impl Engine {
         if workload.ops.is_empty() {
             return Err(SimError::BadConfig("workload has no ops".into()));
         }
-        if config.arrival.is_open() {
-            return Self::run_open(target, workload, config, sets);
-        }
-        if config.processes > 1 {
-            return Self::run_scheduled(target, workload, config, sets);
+        let open = config.arrival.is_open();
+        let pumped = open || config.processes > 1;
+        if pumped && !target.supports_timed() {
+            let (what, fix) = if open {
+                ("open-loop arrivals".to_string(), "--arrival closed")
+            } else {
+                (format!("{} processes", config.processes), "processes=1")
+            };
+            return Err(SimError::BadConfig(format!(
+                "{what} need a time-parameterized target, and {} cannot \
+                 decouple execution from its clock; run with {fix}",
+                target.name()
+            )));
         }
         if config.prewarm {
             Self::prewarm(target, sets)?;
@@ -445,140 +457,118 @@ impl Engine {
             target.install_faults(spec, config.seed)?;
         }
         let stats_before = target.cache_stats();
-        let mut rng = Rng::new(config.seed).fork("run");
         let op_overhead = Self::effective_op_overhead(workload, config);
-        let mut obs = ObsState::begin(config, target, op_overhead, 1, 1);
         let program = OpProgram::new(workload)?;
-        let mut zipfs = Self::build_zipfs(sets, workload);
-        let mut series = WindowedSeries::new(config.window);
-        let mut histogram = Log2Histogram::new();
-        let mut per_op_slots = vec![Log2Histogram::new(); program.labels.len()];
-        let mut ops = 0u64;
-        let mut errors = 0u64;
-        let mut consecutive_errors = 0u64;
-        let mut created_serial = 1_000_000u64;
-        let mut ledger = config.faults.map(|_| rb_faults::OutcomeLedger::default());
-
+        let zipfs = Self::build_zipfs(sets, workload);
+        let workers = if pumped { config.processes.max(1) } else { 1 };
+        // The serial loop draws from the run stream itself; pumped
+        // workers each get an independent fork, so adding draws in one
+        // process never perturbs another.
+        let base_rng = Rng::new(config.seed).fork("run");
+        let rngs: Vec<Rng> = if pumped {
+            (0..workers)
+                .map(|p| base_rng.fork(&format!("proc{p}")))
+                .collect()
+        } else {
+            vec![base_rng]
+        };
         let start = target.now();
-        let end = start + config.duration;
-        let mut crash_at = config.faults.and_then(|s| s.crash_at()).map(|d| start + d);
-        // Background flusher cadence (Linux: every ~5 s).
-        let tick_every = Nanos::from_secs(5);
-        let mut next_tick = start + tick_every;
-        while target.now() < end {
-            // Catch up on missed cadences: an op longer than the tick
-            // interval (a disk-bound whole-file read, say) used to slip
-            // the flusher by one period per op, unboundedly.
-            while target.now() >= next_tick {
-                target.background_tick();
-                next_tick += tick_every;
-            }
-            if let Some(at) = crash_at {
-                if target.now() >= at {
-                    // The instant of loss: dirty pages vanish, the file
-                    // system replays its recovery plan, and the run
-                    // continues on the recovered (still degraded) state.
-                    crash_at = None;
-                    let report = target.crash_recover(target.now())?;
-                    target.advance(report.recovery);
-                    if let Some(l) = &mut ledger {
-                        l.crash = Some(report);
-                        l.degraded += report.recovery;
-                    }
-                }
-            }
-            let (op_idx, chosen) = program.pick(workload, &mut rng);
-            if let Some(l) = &mut ledger {
-                l.attempted += 1;
-            }
-            let mut attempts = 0u32;
-            let result = loop {
-                let r = Self::execute(
-                    target,
-                    chosen,
-                    sets,
-                    &mut zipfs,
-                    workload,
-                    &mut rng,
-                    &mut created_serial,
-                );
-                match r {
-                    Err(e) if Self::is_fault_error(&e) && attempts < config.retry.retries() => {
-                        // Deterministic virtual-time backoff, then the
-                        // op re-executes in full (fresh draws, same
-                        // stream — a redrive, not a replay).
-                        attempts += 1;
-                        let backoff = rb_faults::RetryPolicy::backoff(attempts);
-                        target.advance(backoff);
-                        if let Some(l) = &mut ledger {
-                            l.degraded += backoff;
-                        }
-                    }
-                    other => break other,
-                }
+        let sched = SchedConfig {
+            processes: workers,
+            cores: config.cores,
+            start,
+            duration: config.duration,
+            think: op_overhead,
+            // Background flusher cadence (Linux: every ~5 s).
+            tick_every: Nanos::from_secs(5),
+        };
+        let per_op_slots = vec![Log2Histogram::new(); program.labels.len()];
+        let obs = ObsState::begin(config, target, &sched, pumped);
+        let mut driver = EngineDriver {
+            target: &mut *target,
+            workload,
+            config,
+            sets,
+            zipfs,
+            rngs,
+            program,
+            created_serial: 1_000_000,
+            current_slot: vec![0; workers as usize],
+            start,
+            series: WindowedSeries::new(config.window),
+            histogram: Log2Histogram::new(),
+            per_op_slots,
+            ops: 0,
+            errors: 0,
+            consecutive_errors: 0,
+            obs,
+            ledger: config.faults.map(|_| rb_faults::OutcomeLedger::default()),
+            crash_at: config.faults.and_then(|s| s.crash_at()).map(|d| start + d),
+        };
+        let (finished, open_outcome) = if open {
+            let open_config = OpenLoopConfig {
+                sched,
+                arrival: config.arrival,
+                queue_cap: Self::OPEN_QUEUE_CAP,
+                sample_every: config.window,
             };
-            match result {
-                Ok(lat) => {
-                    consecutive_errors = 0;
-                    if let Some(l) = &mut ledger {
-                        if attempts > 0 {
-                            l.retried_ok += 1;
-                            l.retries += attempts as u64;
-                        } else {
-                            l.succeeded += 1;
-                        }
-                    }
-                    let when = target.now() - start;
-                    // An operation that completes past the deadline belongs
-                    // to the next (unreported) window; recording it would
-                    // fabricate a nearly-empty trailing sample.
-                    if when <= config.duration {
-                        ops += 1;
-                        series.record(when, lat);
-                        histogram.record(lat);
-                        per_op_slots[program.slot_of_op[op_idx] as usize].record(lat);
-                        if let Some(obs) = &mut obs {
-                            let label = program.labels[program.slot_of_op[op_idx] as usize];
-                            obs.on_serial_op(label, start + when, lat);
-                            obs.maybe_sample(when, target);
-                        }
-                    }
-                    target.advance(op_overhead);
-                }
-                Err(e) => {
-                    errors += 1;
-                    if let Some(l) = &mut ledger {
-                        l.gave_up += 1;
-                        l.retries += attempts as u64;
-                    }
-                    // Under a fault-tolerant policy, giving up on an
-                    // injected fault is an accounted outcome, not a step
-                    // toward the consecutive-failure abort.
-                    let tolerated =
-                        config.retry != rb_faults::RetryPolicy::None && Self::is_fault_error(&e);
-                    if tolerated {
-                        consecutive_errors = 0;
-                    } else {
-                        consecutive_errors += 1;
-                        if consecutive_errors >= config.max_errors {
-                            return Err(SimError::InvalidOperation(format!(
-                                "aborting: {consecutive_errors} consecutive op failures"
-                            )));
-                        }
-                    }
-                    // Errors still cost framework time; avoids a spin.
-                    target.advance(op_overhead);
-                }
-            }
-        }
+            // The arrival stream is its own fork: adding workers never
+            // perturbs when requests arrive, and vice versa.
+            let arrival_rng = Rng::new(config.seed).fork("arrivals");
+            let outcome = crate::sched::run_open_loop(&open_config, arrival_rng, &mut driver)?;
+            (outcome.finished, Some(outcome))
+        } else if pumped {
+            (
+                crate::sched::run_closed_loop(&sched, &mut driver)?.finished,
+                None,
+            )
+        } else {
+            (driver.run_serial(&sched)?, None)
+        };
+        let EngineDriver {
+            series,
+            histogram,
+            per_op_slots,
+            program,
+            ops,
+            errors,
+            obs,
+            mut ledger,
+            ..
+        } = driver;
+        // Release the queue-aware service floor a pump has been
+        // publishing, then walk the clock to the final completion: the
+        // pumps' timed ops never moved it, and post-run surgery needs a
+        // consistent timeline. The serial loop already stands there.
+        target.set_device_floor(Nanos::ZERO);
+        target.advance(finished.saturating_sub(target.now()));
         if let Some(l) = &mut ledger {
+            if let Some(o) = &open_outcome {
+                // Queue-rejected requests never reached the target: they
+                // enter the ledger as attempted-and-dropped, keeping the
+                // conservation identity over the *offered* load.
+                l.attempted += o.dropped;
+                l.dropped += o.dropped;
+            }
             if let Some(fs) = target.fault_stats() {
                 l.degraded += fs.slow_extra + fs.stall_extra;
             }
         }
         let hit_ratio = Self::hit_ratio_delta(stats_before, target);
+        let open_loop = open_outcome.map(|o| OpenLoopReport {
+            arrival: config.arrival,
+            offered: o.offered,
+            completed: o.completed,
+            failed: o.failed,
+            dropped: o.dropped,
+            p50: histogram.quantile(0.5),
+            p99: histogram.quantile(0.99),
+            p999: histogram.quantile(0.999),
+            max_queue_depth: o.max_queue_depth,
+            depth_timeline: o.depth_timeline,
+        });
         let (mut metrics, trace) = match obs {
-            Some(o) => o.finish(target, target.now() - start),
+            Some(o) => o.finish(target, finished - start),
             None => (None, None),
         };
         Self::patch_fault_metrics(&mut metrics, &ledger);
@@ -588,9 +578,9 @@ impl Engine {
             per_op: Self::fold_per_op(&program, per_op_slots),
             ops,
             errors,
-            duration: target.now() - start,
+            duration: finished - start,
             hit_ratio,
-            open_loop: None,
+            open_loop,
             metrics,
             trace,
             ledger,
@@ -607,8 +597,7 @@ impl Engine {
 
     /// The run's per-op framework overhead: one CPU-speed factor drawn
     /// per run (within-run jitter would average out over millions of
-    /// operations, but run-to-run wobble does not). Shared verbatim by
-    /// the serial and scheduled paths so they can never drift.
+    /// operations, but run-to-run wobble does not).
     fn effective_op_overhead(workload: &Workload, config: &EngineConfig) -> Nanos {
         if config.cpu_jitter_sigma > 0.0 {
             let factor = Rng::new(config.seed)
@@ -688,265 +677,17 @@ impl Engine {
         }
     }
 
-    /// Runs the measured phase with `processes > 1` workers through the
-    /// discrete-event scheduler. The flowop mix, file sets, Zipf
-    /// samplers and created-file serial are shared state (mutated in
-    /// deterministic event order); each worker draws from its own
-    /// forked RNG stream, so the interleaving is a pure function of
-    /// (workload, config, seed).
-    fn run_scheduled(
-        target: &mut dyn Target,
-        workload: &Workload,
-        config: &EngineConfig,
-        sets: &mut [Vec<LiveFile>],
-    ) -> SimResult<Recording> {
-        if !target.supports_timed() {
-            return Err(SimError::BadConfig(format!(
-                "{} processes need a time-parameterized target, and {} cannot \
-                 decouple execution from its clock; run with processes=1",
-                config.processes,
-                target.name()
-            )));
-        }
-        if config.prewarm {
-            Self::prewarm(target, sets)?;
-        }
-        if let Some(spec) = config.faults {
-            target.install_faults(spec, config.seed)?;
-        }
-        let stats_before = target.cache_stats();
-        let op_overhead = Self::effective_op_overhead(workload, config);
-        let program = OpProgram::new(workload)?;
-        let zipfs = Self::build_zipfs(sets, workload);
-        // One independent stream per worker: adding draws in one
-        // process never perturbs another.
-        let base_rng = Rng::new(config.seed).fork("run");
-        let rngs: Vec<Rng> = (0..config.processes)
-            .map(|p| base_rng.fork(&format!("proc{p}")))
-            .collect();
-        let start = target.now();
-        let sched_config = crate::sched::SchedConfig {
-            processes: config.processes,
-            cores: config.cores,
-            start,
-            duration: config.duration,
-            think: op_overhead,
-            tick_every: Nanos::from_secs(5),
-        };
-        let per_op_slots = vec![Log2Histogram::new(); program.labels.len()];
-        let obs = ObsState::begin(config, target, op_overhead, config.processes, config.cores);
-        let mut driver = EngineDriver {
-            target: &mut *target,
-            workload,
-            config,
-            sets,
-            zipfs,
-            rngs,
-            program,
-            created_serial: 1_000_000,
-            current_slot: vec![0; config.processes as usize],
-            start,
-            series: WindowedSeries::new(config.window),
-            histogram: Log2Histogram::new(),
-            per_op_slots,
-            ops: 0,
-            errors: 0,
-            consecutive_errors: 0,
-            obs,
-            ledger: config.faults.map(|_| rb_faults::OutcomeLedger::default()),
-            crash_at: config.faults.and_then(|s| s.crash_at()).map(|d| start + d),
-        };
-        let outcome = crate::sched::run_closed_loop(&sched_config, &mut driver)?;
-        let EngineDriver {
-            series,
-            histogram,
-            per_op_slots,
-            program,
-            ops,
-            errors,
-            obs,
-            mut ledger,
-            ..
-        } = driver;
-        // Release the queue-aware service floor the pump has been
-        // publishing; post-run surgery issues at the target's own clock.
-        target.set_device_floor(Nanos::ZERO);
-        if let Some(l) = &mut ledger {
-            if let Some(fs) = target.fault_stats() {
-                l.degraded += fs.slow_extra + fs.stall_extra;
-            }
-        }
-        // The timed ops never moved the target clock; walk it to the
-        // final completion so post-run surgery sees a consistent
-        // timeline (and duration matches the serial convention of
-        // "first instant at or past the deadline").
-        target.advance(outcome.finished - start);
-        let hit_ratio = Self::hit_ratio_delta(stats_before, target);
-        let (mut metrics, trace) = match obs {
-            Some(o) => o.finish(target, outcome.finished - start),
-            None => (None, None),
-        };
-        Self::patch_fault_metrics(&mut metrics, &ledger);
-        Ok(Recording {
-            windows: series.finish(),
-            histogram,
-            per_op: Self::fold_per_op(&program, per_op_slots),
-            ops,
-            errors,
-            duration: outcome.finished - start,
-            hit_ratio,
-            open_loop: None,
-            metrics,
-            trace,
-            ledger,
-        })
-    }
-
     /// Admission-queue bound for open-loop runs: past this many waiting
     /// requests, new arrivals are dropped and counted. Large enough
     /// that transient bursts survive, small enough that a saturated run
     /// produces honest backpressure instead of an unbounded backlog.
     const OPEN_QUEUE_CAP: u32 = 1024;
 
-    /// Runs the measured phase open loop: the configured arrival
-    /// process feeds a bounded queue in front of
-    /// [`EngineConfig::processes`] service workers (any count ≥ 1),
-    /// each executing the same flowop mix through the discrete-event
-    /// scheduler. Recorded latencies span arrival to completion, so
-    /// they include the queue wait a closed loop structurally hides;
-    /// [`Recording::open_loop`] carries the offered/dropped ledger,
-    /// p50/p99/p999 and the queue-depth timeline.
-    fn run_open(
-        target: &mut dyn Target,
-        workload: &Workload,
-        config: &EngineConfig,
-        sets: &mut [Vec<LiveFile>],
-    ) -> SimResult<Recording> {
-        if !target.supports_timed() {
-            return Err(SimError::BadConfig(format!(
-                "open-loop arrivals need a time-parameterized target, and {} cannot \
-                 decouple execution from its clock; run with --arrival closed",
-                target.name()
-            )));
-        }
-        if config.prewarm {
-            Self::prewarm(target, sets)?;
-        }
-        if let Some(spec) = config.faults {
-            target.install_faults(spec, config.seed)?;
-        }
-        let stats_before = target.cache_stats();
-        let op_overhead = Self::effective_op_overhead(workload, config);
-        let program = OpProgram::new(workload)?;
-        let zipfs = Self::build_zipfs(sets, workload);
-        let workers = config.processes.max(1);
-        let base_rng = Rng::new(config.seed).fork("run");
-        let rngs: Vec<Rng> = (0..workers)
-            .map(|p| base_rng.fork(&format!("proc{p}")))
-            .collect();
-        // The arrival stream is its own fork: adding workers never
-        // perturbs when requests arrive, and vice versa.
-        let arrival_rng = Rng::new(config.seed).fork("arrivals");
-        let start = target.now();
-        let open_config = OpenLoopConfig {
-            sched: crate::sched::SchedConfig {
-                processes: workers,
-                cores: config.cores,
-                start,
-                duration: config.duration,
-                think: op_overhead,
-                tick_every: Nanos::from_secs(5),
-            },
-            arrival: config.arrival,
-            queue_cap: Self::OPEN_QUEUE_CAP,
-            sample_every: config.window,
-        };
-        let per_op_slots = vec![Log2Histogram::new(); program.labels.len()];
-        let obs = ObsState::begin(config, target, op_overhead, workers, config.cores);
-        let mut driver = EngineDriver {
-            target: &mut *target,
-            workload,
-            config,
-            sets,
-            zipfs,
-            rngs,
-            program,
-            created_serial: 1_000_000,
-            current_slot: vec![0; workers as usize],
-            start,
-            series: WindowedSeries::new(config.window),
-            histogram: Log2Histogram::new(),
-            per_op_slots,
-            ops: 0,
-            errors: 0,
-            consecutive_errors: 0,
-            obs,
-            ledger: config.faults.map(|_| rb_faults::OutcomeLedger::default()),
-            crash_at: config.faults.and_then(|s| s.crash_at()).map(|d| start + d),
-        };
-        let outcome = crate::sched::run_open_loop(&open_config, arrival_rng, &mut driver)?;
-        let EngineDriver {
-            series,
-            histogram,
-            per_op_slots,
-            program,
-            ops,
-            errors,
-            obs,
-            mut ledger,
-            ..
-        } = driver;
-        target.set_device_floor(Nanos::ZERO);
-        if let Some(l) = &mut ledger {
-            // Queue-rejected requests never reached the target: they
-            // enter the ledger as attempted-and-dropped, keeping the
-            // conservation identity over the *offered* load.
-            l.attempted += outcome.dropped;
-            l.dropped += outcome.dropped;
-            if let Some(fs) = target.fault_stats() {
-                l.degraded += fs.slow_extra + fs.stall_extra;
-            }
-        }
-        target.advance(outcome.finished - start);
-        let hit_ratio = Self::hit_ratio_delta(stats_before, target);
-        let open_loop = OpenLoopReport {
-            arrival: config.arrival,
-            offered: outcome.offered,
-            completed: outcome.completed,
-            failed: outcome.failed,
-            dropped: outcome.dropped,
-            p50: histogram.quantile(0.5),
-            p99: histogram.quantile(0.99),
-            p999: histogram.quantile(0.999),
-            max_queue_depth: outcome.max_queue_depth,
-            depth_timeline: outcome.depth_timeline,
-        };
-        let (mut metrics, trace) = match obs {
-            Some(o) => o.finish(target, outcome.finished - start),
-            None => (None, None),
-        };
-        Self::patch_fault_metrics(&mut metrics, &ledger);
-        Ok(Recording {
-            windows: series.finish(),
-            histogram,
-            per_op: Self::fold_per_op(&program, per_op_slots),
-            ops,
-            errors,
-            duration: outcome.finished - start,
-            hit_ratio,
-            open_loop: Some(open_loop),
-            metrics,
-            trace,
-            ledger,
-        })
-    }
-
     /// Executes one flowop at instant `issue` through the target's
-    /// time-parameterized interface, returning the decomposed cost.
-    /// State effects (cache contents, namespace, live-file tables) are
-    /// identical to [`Engine::execute`]; only the clock discipline
-    /// differs. Multi-step flowops (whole-file reads, create-then-open)
-    /// stagger their sub-operations by each step's serialized latency.
+    /// time-parameterized interface, returning the decomposed cost —
+    /// the one op executor every mode shares. Multi-step flowops
+    /// (whole-file reads, create-then-open) stagger their sub-operations
+    /// by each step's serialized latency and charge their sum.
     #[allow(clippy::too_many_arguments)]
     fn execute_timed(
         target: &mut dyn Target,
@@ -1103,125 +844,6 @@ impl Engine {
         let idx = zipfs[set].sample(rng).min(live.len() - 1);
         Ok(&mut live[idx])
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
-        target: &mut dyn Target,
-        op: FlowOp,
-        sets: &mut [Vec<LiveFile>],
-        zipfs: &mut [Zipf],
-        workload: &Workload,
-        rng: &mut Rng,
-        created_serial: &mut u64,
-    ) -> SimResult<Nanos> {
-        match op {
-            FlowOp::ReadRandom { set, iosize } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                let slots = (f.size.as_u64() / iosize.as_u64().max(1)).max(1);
-                let offset = Bytes::new(rng.below(slots) * iosize.as_u64());
-                target.read(f.fd, offset, iosize)
-            }
-            FlowOp::ReadSequential { set, iosize } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                if f.cursor >= f.size {
-                    f.cursor = Bytes::ZERO;
-                }
-                let off = f.cursor;
-                f.cursor += iosize;
-                target.read(f.fd, off, iosize)
-            }
-            FlowOp::ReadWholeFile { set, iosize } => {
-                let (fd, size) = {
-                    let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                    (f.fd, f.size)
-                };
-                let mut total = Nanos::ZERO;
-                let mut off = Bytes::ZERO;
-                while off < size {
-                    total += target.read(fd, off, iosize)?;
-                    off += iosize;
-                }
-                Ok(total)
-            }
-            FlowOp::WriteRandom { set, iosize } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                let slots = (f.size.as_u64() / iosize.as_u64().max(1)).max(1);
-                let offset = Bytes::new(rng.below(slots) * iosize.as_u64());
-                target.write(f.fd, offset, iosize)
-            }
-            FlowOp::Append { set, iosize } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                let off = f.size;
-                f.size += iosize;
-                target.write(f.fd, off, iosize)
-            }
-            FlowOp::CreateFile { set } => {
-                let dir = &workload
-                    .filesets
-                    .get(set)
-                    .ok_or_else(|| SimError::BadConfig(format!("no file set {set}")))?
-                    .dir;
-                let path = Self::create_path(dir, *created_serial);
-                *created_serial += 1;
-                let pid = target.prepare_path(&path);
-                let lat = match pid {
-                    Some(id) => target.create_id(id, &path)?,
-                    None => target.create(&path)?,
-                };
-                let fd = match pid {
-                    Some(id) => target.open_id(id, &path)?,
-                    None => target.open(&path)?,
-                };
-                sets[set].push(LiveFile {
-                    path,
-                    pid,
-                    fd,
-                    size: Bytes::ZERO,
-                    cursor: Bytes::ZERO,
-                });
-                Ok(lat)
-            }
-            FlowOp::DeleteFile { set } => {
-                let live = sets
-                    .get_mut(set)
-                    .ok_or_else(|| SimError::BadConfig(format!("no file set {set}")))?;
-                if live.len() <= 1 {
-                    return Err(SimError::NotFound("set nearly empty".into()));
-                }
-                let idx = rng.below(live.len() as u64) as usize;
-                let f = live.swap_remove(idx);
-                let _ = target.close(f.fd);
-                match f.pid {
-                    Some(id) => target.unlink_id(id, &f.path),
-                    None => target.unlink(&f.path),
-                }
-            }
-            FlowOp::StatFile { set } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                match f.pid {
-                    Some(id) => target.stat_id(id, &f.path),
-                    None => target.stat(&f.path),
-                }
-            }
-            FlowOp::OpenClose { set } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                let t0 = target.now();
-                let fd = match f.pid {
-                    Some(id) => target.open_id(id, &f.path)?,
-                    None => target.open(&f.path)?,
-                };
-                target.close(fd)?;
-                Ok(target.now() - t0)
-            }
-            FlowOp::Fsync { set } => {
-                let fd = {
-                    let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                    f.fd
-                };
-                target.fsync(fd)
-            }
-        }
-    }
 }
 
 /// Live flight-recorder state for one run: before-captures of every
@@ -1241,6 +863,8 @@ struct ObsState {
     /// Effective per-op think time, for splitting core wait out of the
     /// pre-issue delay.
     think: Nanos,
+    /// Serial run: record flat spans and no decomposition.
+    flat: bool,
 }
 
 impl ObsState {
@@ -1248,18 +872,23 @@ impl ObsState {
     const GAUGES: [&'static str; 2] = ["hit_ratio", "device_busy"];
 
     /// Captures the before-counters and opens the recorders; `None`
-    /// when the flight recorder is fully off.
+    /// when the flight recorder is fully off. A serial run (`pumped`
+    /// false) records one process on one core and flat spans.
     fn begin(
         config: &EngineConfig,
         target: &dyn Target,
-        think: Nanos,
-        processes: u32,
-        cores: u32,
+        sched: &SchedConfig,
+        pumped: bool,
     ) -> Option<ObsState> {
         if !config.obs.enabled() {
             return None;
         }
-        let sched = rb_obs::SchedMetrics {
+        let (processes, cores) = if pumped {
+            (sched.processes, sched.cores)
+        } else {
+            (1, 1)
+        };
+        let sched_metrics = rb_obs::SchedMetrics {
             processes,
             cores,
             core_busy: vec![Nanos::ZERO; cores as usize],
@@ -1271,10 +900,11 @@ impl ObsState {
             fs_before: target.stack_stats(),
             disk_before: target.disk_stats(),
             policy: target.cache_policy(),
-            sched,
+            sched: sched_metrics,
             timeline: GaugeSeries::new(config.window, &Self::GAUGES),
             spans: config.obs.trace.as_ref().map(rb_obs::SpanRecorder::new),
-            think,
+            think: sched.think,
+            flat: !pumped,
         })
     }
 
@@ -1304,23 +934,22 @@ impl ObsState {
         self.timeline.sample(when, &[hit_ratio, device_busy]);
     }
 
-    /// Records one serial-loop completion: a flat span (the serial
-    /// engine has no contention phases to decompose) plus the run
-    /// totals.
-    fn on_serial_op(&mut self, label: &'static str, end: Nanos, latency: Nanos) {
-        if let Some(spans) = &mut self.spans {
-            spans.record_flat(0, 0, label, end - latency, end);
+    /// Records one completion. A serial op is a flat span plus the run
+    /// totals (no contention phases to decompose); a pumped op records
+    /// the exact latency decomposition (`core_wait + think + cpu +
+    /// queue_wait + device == latency` by pump construction) and its
+    /// span tree.
+    fn on_op(&mut self, completion: &Completion, label: &'static str) {
+        if self.flat {
+            if let Some(spans) = &mut self.spans {
+                spans.record_flat(0, 0, label, completion.issued, completion.completed);
+            }
+            if self.metrics {
+                self.sched.completed += 1;
+                self.sched.latency += completion.completed - completion.arrived;
+            }
+            return;
         }
-        if self.metrics {
-            self.sched.completed += 1;
-            self.sched.latency += latency;
-        }
-    }
-
-    /// Records one scheduled-engine completion: the exact latency
-    /// decomposition (`core_wait + think + cpu + queue_wait + device ==
-    /// latency` by pump construction) and the op's span tree.
-    fn on_sched_op(&mut self, completion: &Completion, label: &'static str) {
         let cpu_end = completion.issued + completion.cost.cpu;
         let device_start = completion.completed - completion.cost.device;
         if let Some(spans) = &mut self.spans {
@@ -1474,8 +1103,10 @@ impl OpProgram {
     }
 }
 
-/// The engine's [`SchedDriver`]: owns the target borrow and all shared
-/// run state, so the scheduler's event pump works through one object.
+/// The engine's per-op accounting for every measured phase: owns the
+/// target borrow and all shared run state. The scheduler's pumps drive
+/// it as a [`SchedDriver`]; the serial loop ([`EngineDriver::run_serial`])
+/// calls the same `exec` / `on_complete` / `on_error` steps itself.
 struct EngineDriver<'a> {
     target: &'a mut dyn Target,
     workload: &'a Workload,
@@ -1505,16 +1136,77 @@ struct EngineDriver<'a> {
 }
 
 impl EngineDriver<'_> {
-    /// One scheduled operation: the weighted draw, the (possibly
-    /// retried) execution, and the ledger accounting. Backoff between
-    /// attempts folds into the op's CPU charge, so the scheduler sees
-    /// one longer operation rather than N short ones — the worker
+    /// The serial measured phase: one process on the target clock. Each
+    /// op issues at the clock's current instant; the clock then moves
+    /// by the op's latency and, after it, the think time (op overhead).
+    /// Untimed targets have already moved their own clock through the
+    /// op, so only the think time is added for them.
+    fn run_serial(&mut self, sched: &SchedConfig) -> SimResult<Nanos> {
+        let timed = self.target.supports_timed();
+        let end = sched.start + sched.duration;
+        let mut next_tick = sched.start + sched.tick_every;
+        loop {
+            let mut now = self.target.now();
+            if now >= end {
+                return Ok(now);
+            }
+            // Catch up on missed cadences: an op longer than the tick
+            // interval (a disk-bound whole-file read, say) must not slip
+            // the flusher by one period per op.
+            while now >= next_tick {
+                self.target.background_tick();
+                next_tick += sched.tick_every;
+                now = self.target.now();
+            }
+            match self.exec(0, now) {
+                Ok(cost) => {
+                    let latency = cost.total();
+                    self.on_complete(&Completion {
+                        process: 0,
+                        arrived: now,
+                        issued: now,
+                        core: 0,
+                        completed: now + latency,
+                        cost,
+                    })?;
+                    let moved = if timed { latency } else { Nanos::ZERO };
+                    self.target.advance(moved + sched.think);
+                }
+                Err(e) => {
+                    self.on_error(0, now, e)?;
+                    // Errors still cost framework time; avoids a spin.
+                    self.target.advance(sched.think);
+                }
+            }
+        }
+    }
+}
+
+impl SchedDriver for EngineDriver<'_> {
+    /// One operation: crash recovery when due, the weighted draw, the
+    /// (possibly retried) execution, and the ledger accounting. Backoff
+    /// between attempts folds into the op's CPU charge, so the caller
+    /// sees one longer operation rather than N short ones — the worker
     /// holds its core through the retry storm, like a thread spinning
     /// in the kernel's resubmit path.
-    fn exec_once(&mut self, process: u32, now: Nanos) -> SimResult<OpCost> {
+    fn exec(&mut self, process: u32, now: Nanos) -> SimResult<OpCost> {
+        let mut recovery = Nanos::ZERO;
+        if self.crash_at.is_some_and(|at| now >= at) {
+            // First issue past the crash instant pays for recovery: its
+            // device charge carries the replay I/O, so every later op
+            // queues behind the recovering device exactly as processes
+            // stall behind a remounting file system.
+            self.crash_at = None;
+            let report = self.target.crash_recover(now)?;
+            if let Some(l) = &mut self.ledger {
+                l.crash = Some(report);
+                l.degraded += report.recovery;
+            }
+            recovery = report.recovery;
+        }
         let rng = &mut self.rngs[process as usize];
-        // The same weighted draw as the serial loop, from this
-        // process's own stream, dispatched through the flat table.
+        // One weighted draw from this process's own stream, dispatched
+        // through the flat table.
         let (op_idx, chosen) = self.program.pick(self.workload, rng);
         self.current_slot[process as usize] = self.program.slot_of_op[op_idx];
         if let Some(l) = &mut self.ledger {
@@ -1544,6 +1236,7 @@ impl EngineDriver<'_> {
                         }
                     }
                     cost.cpu += backoff;
+                    cost.device += recovery;
                     return Ok(cost);
                 }
                 Err(e) if Engine::is_fault_error(&e) && attempts < self.config.retry.retries() => {
@@ -1564,29 +1257,6 @@ impl EngineDriver<'_> {
             }
         }
     }
-}
-
-impl SchedDriver for EngineDriver<'_> {
-    fn exec(&mut self, process: u32, now: Nanos) -> SimResult<OpCost> {
-        if let Some(at) = self.crash_at {
-            if now >= at {
-                // First issue past the crash instant pays for recovery:
-                // its device charge carries the replay I/O, so every
-                // later op queues behind the recovering device exactly
-                // as processes stall behind a remounting file system.
-                self.crash_at = None;
-                let report = self.target.crash_recover(now)?;
-                if let Some(l) = &mut self.ledger {
-                    l.crash = Some(report);
-                    l.degraded += report.recovery;
-                }
-                let mut cost = self.exec_once(process, now)?;
-                cost.device += report.recovery;
-                return Ok(cost);
-            }
-        }
-        self.exec_once(process, now)
-    }
 
     fn tick(&mut self, start: Nanos) -> Nanos {
         self.target.tick_at(start)
@@ -1595,8 +1265,9 @@ impl SchedDriver for EngineDriver<'_> {
     fn on_complete(&mut self, completion: &Completion) -> SimResult<()> {
         self.consecutive_errors = 0;
         let when = completion.completed - self.start;
-        // Same deadline discipline as the serial loop: an operation
-        // completing past the deadline belongs to an unreported window.
+        // An operation completing past the deadline belongs to the next
+        // (unreported) window; recording it would fabricate a
+        // nearly-empty trailing sample.
         if when <= self.config.duration {
             self.ops += 1;
             let latency = completion.completed - completion.arrived;
@@ -1605,7 +1276,7 @@ impl SchedDriver for EngineDriver<'_> {
             let slot = self.current_slot[completion.process as usize] as usize;
             self.per_op_slots[slot].record(latency);
             if let Some(obs) = &mut self.obs {
-                obs.on_sched_op(completion, self.program.labels[slot]);
+                obs.on_op(completion, self.program.labels[slot]);
                 obs.maybe_sample(when, self.target);
             }
         }
@@ -2124,6 +1795,78 @@ mod tests {
             trace: Some(rb_obs::TraceConfig { sample_every: 1 }),
         });
         assert_eq!(off, on, "observer effect: recorder changed the run");
+    }
+
+    /// The `Target` defaults run the untimed forms at the target's own
+    /// clock, so a serial run through an untimed proxy (the trace
+    /// recorder) must match the same seed run on the timed stack.
+    #[test]
+    fn serial_runs_agree_on_untimed_and_timed_targets() {
+        for w in [
+            personalities::random_read(Bytes::mib(8)),
+            personalities::sequential_read(Bytes::mib(8)),
+            personalities::random_write(Bytes::mib(8)),
+            personalities::webserver(40),
+            personalities::fileserver(40),
+            personalities::varmail(40),
+            personalities::postmark(40),
+            personalities::metadata_only(40),
+        ] {
+            let cfg = quick_cfg(2, 11);
+            let mut direct = testbed::paper_ext2(Bytes::gib(1), 11);
+            let a = Engine::run(&mut direct, &w, &cfg).unwrap();
+            let mut inner = testbed::paper_ext2(Bytes::gib(1), 11);
+            let mut recorder = crate::trace::Recorder::new(&mut inner);
+            assert!(!recorder.supports_timed());
+            let b = Engine::run(&mut recorder, &w, &cfg).unwrap();
+            let untimed_clock = recorder.now();
+            assert!(
+                !recorder.finish().is_empty(),
+                "{}: nothing recorded",
+                w.name
+            );
+            assert_eq!((a.ops, a.errors), (b.ops, b.errors), "{}", w.name);
+            assert_eq!(a.histogram, b.histogram, "{}: histogram", w.name);
+            assert_eq!(a.per_op, b.per_op, "{}: per-op map", w.name);
+            assert_eq!(direct.now(), untimed_clock, "{}: final clock", w.name);
+        }
+    }
+
+    /// A serial `CreateFile` records create + open: the cost the pump
+    /// charges the same op, issued at the same instant.
+    #[test]
+    fn serial_create_records_create_plus_open() {
+        let w = Workload {
+            name: "create".into(),
+            filesets: vec![FileSet {
+                dir: "/c".into(),
+                count: 1,
+                size: Dist::Constant(0.0),
+                prealloc: false,
+            }],
+            ops: vec![(FlowOp::CreateFile { set: 0 }, 1)],
+            op_overhead: Nanos::from_micros(30),
+            zipf_theta: 0.0,
+        };
+        let mut cfg = quick_cfg(1, 5);
+        cfg.obs.trace = Some(rb_obs::TraceConfig { sample_every: 1 });
+        let mut t = testbed::paper_ext2(Bytes::gib(1), 5);
+        let rec = Engine::run(&mut t, &w, &cfg).unwrap();
+        let trace = rec.trace.expect("span trace");
+        let (begin, end) = (&trace.events[0], &trace.events[1]);
+        assert!(begin.begin && !end.begin && begin.name == "create");
+
+        let mut twin = testbed::paper_ext2(Bytes::gib(1), 5);
+        Engine::setup(&mut twin, &w, cfg.seed).unwrap();
+        twin.drop_caches();
+        let issue = twin.now();
+        let path = Engine::create_path("/c", 1_000_000);
+        let pid = twin.prepare_path(&path);
+        let created = twin.create_at(pid, &path, issue).unwrap();
+        let (_, opened) = twin.open_at(pid, &path, issue + created.total()).unwrap();
+        assert!(!opened.total().is_zero());
+        assert_eq!(begin.ts, issue);
+        assert_eq!(end.ts - begin.ts, created.total() + opened.total());
     }
 
     #[test]

@@ -16,11 +16,6 @@ use rb_simcore::units::Bytes;
 use rb_simfs::intern::PathId;
 use rb_simfs::stack::{Fd, OpCost};
 
-/// The error every untimed target returns from the `*_at` family.
-fn untimed() -> SimError {
-    SimError::InvalidOperation("target cannot execute time-parameterized operations".into())
-}
-
 /// A system under test.
 pub trait Target {
     /// Short name for reports, e.g. `"sim:ext2"`.
@@ -157,72 +152,97 @@ pub trait Target {
     // `*_at` family executes an operation at an explicit `issue`
     // instant, mutates target state exactly as the untimed form would,
     // and returns the cost decomposed into CPU and device components
-    // ([`OpCost`]) without touching the target clock. Only targets with
-    // a virtual clock can support this; everything else keeps the
-    // default "unsupported" behaviour and multi-process drivers must
-    // check [`Target::supports_timed`] first.
+    // ([`OpCost`]). Targets with a virtual clock implement it without
+    // touching that clock and say so through [`Target::supports_timed`].
+    // Every other target inherits defaults that run the untimed form at
+    // the target's own clock (ignoring `issue`, moving the clock
+    // themselves) and report the whole latency as CPU, so a serial
+    // driver can use one call path for both kinds.
     // ------------------------------------------------------------------
 
-    /// Whether the `*_at` operations are implemented. Drivers must not
-    /// call them when this is `false`.
+    /// Whether the `*_at` operations leave the clock to the caller.
+    /// `false` means they run at the target's own clock and advance it
+    /// (the defaults below); multi-process drivers need `true`.
     fn supports_timed(&self) -> bool {
         false
     }
 
-    /// [`Target::create`] at instant `issue`, without moving the clock.
-    /// `id` is the path pre-resolved by [`Target::prepare_path`], when
-    /// the driver has one.
+    /// [`Target::create`] at instant `issue`. `id` is the path
+    /// pre-resolved by [`Target::prepare_path`], when the driver has
+    /// one.
     fn create_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost> {
-        let _ = (id, path, issue);
-        Err(untimed())
+        let _ = issue;
+        match id {
+            Some(id) => self.create_id(id, path),
+            None => self.create(path),
+        }
+        .map(OpCost::cpu_only)
     }
 
     /// [`Target::mkdir`] at instant `issue`.
     fn mkdir_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost> {
-        let _ = (id, path, issue);
-        Err(untimed())
+        let _ = issue;
+        match id {
+            Some(id) => self.mkdir_id(id, path),
+            None => self.mkdir(path),
+        }
+        .map(OpCost::cpu_only)
     }
 
     /// [`Target::unlink`] at instant `issue`.
     fn unlink_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost> {
-        let _ = (id, path, issue);
-        Err(untimed())
+        let _ = issue;
+        match id {
+            Some(id) => self.unlink_id(id, path),
+            None => self.unlink(path),
+        }
+        .map(OpCost::cpu_only)
     }
 
     /// [`Target::stat`] at instant `issue`.
     fn stat_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost> {
-        let _ = (id, path, issue);
-        Err(untimed())
+        let _ = issue;
+        match id {
+            Some(id) => self.stat_id(id, path),
+            None => self.stat(path),
+        }
+        .map(OpCost::cpu_only)
     }
 
-    /// [`Target::open`] at instant `issue`.
+    /// [`Target::open`] at instant `issue`. The untimed form reports no
+    /// latency, so the default charges the clock distance it covered.
     fn open_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<(Fd, OpCost)> {
-        let _ = (id, path, issue);
-        Err(untimed())
+        let _ = issue;
+        let t0 = self.now();
+        let fd = match id {
+            Some(id) => self.open_id(id, path)?,
+            None => self.open(path)?,
+        };
+        Ok((fd, OpCost::cpu_only(self.now() - t0)))
     }
 
     /// [`Target::set_size`] at instant `issue`.
     fn set_size_at(&mut self, fd: Fd, size: Bytes, issue: Nanos) -> SimResult<OpCost> {
-        let _ = (fd, size, issue);
-        Err(untimed())
+        let _ = issue;
+        self.set_size(fd, size).map(OpCost::cpu_only)
     }
 
     /// [`Target::read`] at instant `issue`.
     fn read_at(&mut self, fd: Fd, offset: Bytes, len: Bytes, issue: Nanos) -> SimResult<OpCost> {
-        let _ = (fd, offset, len, issue);
-        Err(untimed())
+        let _ = issue;
+        self.read(fd, offset, len).map(OpCost::cpu_only)
     }
 
     /// [`Target::write`] at instant `issue`.
     fn write_at(&mut self, fd: Fd, offset: Bytes, len: Bytes, issue: Nanos) -> SimResult<OpCost> {
-        let _ = (fd, offset, len, issue);
-        Err(untimed())
+        let _ = issue;
+        self.write(fd, offset, len).map(OpCost::cpu_only)
     }
 
     /// [`Target::fsync`] at instant `issue`.
     fn fsync_at(&mut self, fd: Fd, issue: Nanos) -> SimResult<OpCost> {
-        let _ = (fd, issue);
-        Err(untimed())
+        let _ = issue;
+        self.fsync(fd).map(OpCost::cpu_only)
     }
 
     /// [`Target::background_tick`] at instant `issue`: runs the flusher
