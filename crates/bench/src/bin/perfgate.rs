@@ -100,50 +100,79 @@ const USAGE: &str = "usage: perfgate [--quick] [--reps N] [--out FILE] [--baseli
                      \n  --only NAME      run one scenario in this process\
                      \n  --gate RATIO     exit 1 if a baselined speedup falls below RATIO\n";
 
-/// The flags that take a value (as `--name VALUE` or `--name=VALUE`).
-const VALUE_FLAGS: [&str; 5] = ["reps", "out", "baseline", "only", "gate"];
+/// The parsed command line.
+struct Args {
+    quick: bool,
+    reps: usize,
+    out: String,
+    baseline: Option<String>,
+    only: Option<String>,
+    gate: Option<f64>,
+}
 
-/// Validates the command line before anything runs: `--help` prints the
-/// usage and exits 0; an unknown argument or a value flag without its
-/// value prints the usage to stderr and exits 2.
-fn check_args() {
+/// Parses the command line in one pass before anything runs: `--help`
+/// prints the usage and exits 0; an unknown or repeated argument, a
+/// value flag without its value, or a malformed value prints the usage
+/// to stderr and exits 2. Value flags take `--name VALUE` or
+/// `--name=VALUE`.
+fn parse_args() -> Args {
     fn fail(msg: String) -> ! {
         eprintln!("error: {msg}\n{USAGE}");
         std::process::exit(2);
     }
+    let mut quick = false;
+    let (mut reps, mut out, mut baseline, mut only, mut gate) = (None, None, None, None, None);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let name = arg.strip_prefix("--").unwrap_or("");
-        match arg.as_str() {
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
+        if matches!(arg.as_str(), "--help" | "-h") {
+            print!("{USAGE}");
+            std::process::exit(0);
+        }
+        if matches!(arg.as_str(), "--quick" | "-q") {
+            if quick {
+                fail(format!("{arg} given twice"));
             }
-            "--quick" | "-q" => {}
-            _ if VALUE_FLAGS.contains(&name) => {
-                if args.next().is_none() {
-                    fail(format!("{arg} needs a value"));
-                }
-            }
-            _ if name
-                .split_once('=')
-                .is_some_and(|(n, _)| VALUE_FLAGS.contains(&n)) => {}
+            quick = true;
+            continue;
+        }
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name.to_string(), Some(value.to_string())),
+            None => (arg.clone(), None),
+        };
+        let slot = match name.as_str() {
+            "--reps" => &mut reps,
+            "--out" => &mut out,
+            "--baseline" => &mut baseline,
+            "--only" => &mut only,
+            "--gate" => &mut gate,
             _ => fail(format!("unknown argument {arg:?}")),
+        };
+        let value = inline
+            .or_else(|| args.next())
+            .unwrap_or_else(|| fail(format!("{name} needs a value")));
+        if slot.replace(value).is_some() {
+            fail(format!("{name} given twice"));
         }
     }
-}
-
-fn flag(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let long = format!("--{name}");
-    let prefixed = format!("--{name}=");
-    args.iter()
-        .position(|a| *a == long)
-        .map(|i| args.get(i + 1).cloned().unwrap_or_default())
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix(&prefixed).map(str::to_string))
-        })
+    let reps = match reps {
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| fail(format!("--reps needs a positive integer, got {v:?}"))),
+        None if quick => 3,
+        None => 7,
+    };
+    let gate = gate.map(|g| {
+        g.parse()
+            .unwrap_or_else(|_| fail(format!("--gate needs a ratio like 0.90, got {g:?}")))
+    });
+    Args {
+        quick,
+        reps,
+        out: out.unwrap_or_else(|| "results/perfgate.json".to_string()),
+        baseline,
+        only,
+        gate,
+    }
 }
 
 /// The golden v2 trace scaled ×32 (the replay scenario's input).
@@ -588,17 +617,19 @@ fn run_isolated(names: &[&'static str], reps: usize, quick: bool) -> Option<(Str
 
 /// Assembles and writes the final JSON, with the optional baseline
 /// comparison, from an already-rendered scenario-array body.
-fn finish(scenario_body: String, rss: Option<u64>, quick: bool, reps: usize, out_path: &str) {
-    let gate: Option<f64> = flag("gate").map(|g| {
-        g.parse().unwrap_or_else(|_| {
-            eprintln!("error: --gate needs a ratio like 0.90, got {g:?}");
-            std::process::exit(2);
-        })
-    });
+fn finish(scenario_body: String, rss: Option<u64>, args: &Args) {
+    let Args {
+        quick,
+        reps,
+        out: out_path,
+        gate,
+        ..
+    } = args;
+    let gate = *gate;
     let mut speedup = String::new();
     let mut below_gate: Vec<(String, f64)> = Vec::new();
-    if let Some(base_path) = flag("baseline") {
-        match std::fs::read_to_string(&base_path) {
+    if let Some(base_path) = &args.baseline {
+        match std::fs::read_to_string(base_path) {
             Ok(base_text) => {
                 let base = medians_of(&base_text);
                 let mut parts = Vec::new();
@@ -697,22 +728,12 @@ fn finish(scenario_body: String, rss: Option<u64>, quick: bool, reps: usize, out
 }
 
 fn main() {
-    check_args();
-    let quick = std::env::args().any(|a| a == "--quick" || a == "-q");
-    let reps: usize = match flag("reps") {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --reps needs a positive integer, got {v:?}");
-            std::process::exit(2);
-        }),
-        None if quick => 3,
-        None => 7,
-    };
-    let out_path = flag("out").unwrap_or_else(|| "results/perfgate.json".to_string());
-    let only = flag("only");
+    let args = parse_args();
+    let (quick, reps, only) = (args.quick, args.reps, &args.only);
 
     // The parent dispatches children by name; only a child (--only) or
     // the in-process fallback pays for scenario construction.
-    match &only {
+    match only {
         Some(only) => {
             if !SCENARIO_NAMES.contains(&only.as_str()) {
                 eprintln!("error: --only {only:?} matches no scenario");
@@ -722,7 +743,7 @@ fn main() {
         None => {
             eprintln!("perfgate: {reps} repetition(s) per scenario, one process each...");
             if let Some((body, rss)) = run_isolated(&SCENARIO_NAMES, reps, quick) {
-                finish(body, rss, quick, reps, &out_path);
+                finish(body, rss, &args);
                 return;
             }
             eprintln!("perfgate: child spawn failed; measuring in-process");
@@ -730,7 +751,7 @@ fn main() {
     }
 
     let mut scenarios = scenarios(quick);
-    if let Some(only) = &only {
+    if let Some(only) = only {
         scenarios.retain(|s| s.name == only.as_str());
     }
     println!(
@@ -780,5 +801,5 @@ fn main() {
             .to_string(),
         );
     }
-    finish(rendered.join(","), peak_rss_bytes(), quick, reps, &out_path);
+    finish(rendered.join(","), peak_rss_bytes(), &args);
 }

@@ -88,6 +88,26 @@ pub struct Completion {
     pub cost: OpCost,
 }
 
+/// A failed operation: its error, and the time it spent before giving
+/// up — retry backoff as CPU, crash recovery as device time.
+#[derive(Debug)]
+pub struct Failed {
+    /// Why the operation failed.
+    pub error: SimError,
+    /// What the attempts cost the process before it gave up.
+    pub spent: OpCost,
+}
+
+impl From<SimError> for Failed {
+    /// A failure that spent nothing.
+    fn from(error: SimError) -> Failed {
+        Failed {
+            error,
+            spent: OpCost::default(),
+        }
+    }
+}
+
 /// What the scheduler pops from its event queue.
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -125,10 +145,11 @@ pub struct SchedOutcome {
 /// single mutable borrow.
 pub trait SchedDriver {
     /// Executes `process`'s next operation at instant `now` against the
-    /// shared state and returns its decomposed cost. Errors are routed
-    /// to [`SchedDriver::on_error`] and cost the process nothing beyond
-    /// the think time it already spent (no spin).
-    fn exec(&mut self, process: u32, now: Nanos) -> SimResult<OpCost>;
+    /// shared state and returns its decomposed cost. A failure is
+    /// routed to [`SchedDriver::on_error`]; what the op spent before it
+    /// gave up ([`Failed::spent`]) holds the process exactly like a
+    /// completed op's cost, on top of the think time already paid.
+    fn exec(&mut self, process: u32, now: Nanos) -> Result<OpCost, Failed>;
 
     /// Runs the background flusher as of instant `start`, returning the
     /// device time consumed. The scheduler charges it to the shared
@@ -241,7 +262,7 @@ pub fn run_closed_loop_in<D: SchedDriver + ?Sized>(
                 arrived,
                 core,
             } => match issue(driver, &mut device, process, now)? {
-                Some((completed, cost)) => queue.schedule(
+                (completed, Some(cost)) => queue.schedule(
                     completed,
                     Event::Done {
                         process,
@@ -251,8 +272,8 @@ pub fn run_closed_loop_in<D: SchedDriver + ?Sized>(
                         cost,
                     },
                 ),
-                // Errors still paid the think time; rearrive now.
-                None => queue.schedule(now, Event::Arrive(process)),
+                // A failed op rearrives once its spent time is paid.
+                (released, None) => queue.schedule(released, Event::Arrive(process)),
             },
             Event::Done {
                 process,
@@ -291,31 +312,32 @@ pub fn run_closed_loop_in<D: SchedDriver + ?Sized>(
 }
 
 /// The Issue step both pumps share: executes `process`'s operation at
-/// `now` and returns its completion instant (CPU on the process's own
-/// timeline, then the shared device queue) and cost. A failed op is
-/// routed to [`SchedDriver::on_error`] and yields `None`.
+/// `now` and returns the instant it releases the process (CPU on the
+/// process's own timeline, then the shared device queue) with the cost
+/// of a success. A failed op is routed to [`SchedDriver::on_error`],
+/// yields no cost, and is released once its spent time is charged the
+/// same way.
 fn issue<D: SchedDriver + ?Sized>(
     driver: &mut D,
     device: &mut DeviceQueue,
     process: u32,
     now: Nanos,
-) -> SimResult<Option<(Nanos, OpCost)>> {
+) -> SimResult<(Nanos, Option<OpCost>)> {
     driver.set_device_floor(device.next_free());
-    match driver.exec(process, now) {
-        Ok(cost) => {
-            let after_cpu = now + cost.cpu;
-            let completed = if cost.device.is_zero() {
-                after_cpu
-            } else {
-                device.serve(after_cpu, cost.device)
-            };
-            Ok(Some((completed, cost)))
+    let (cost, ok) = match driver.exec(process, now) {
+        Ok(cost) => (cost, true),
+        Err(failed) => {
+            driver.on_error(process, now, failed.error)?;
+            (failed.spent, false)
         }
-        Err(e) => {
-            driver.on_error(process, now, e)?;
-            Ok(None)
-        }
-    }
+    };
+    let after_cpu = now + cost.cpu;
+    let released = if cost.device.is_zero() {
+        after_cpu
+    } else {
+        device.serve(after_cpu, cost.device)
+    };
+    Ok((released, ok.then_some(cost)))
 }
 
 /// The Tick step both pumps share: one flusher pass starting when the
@@ -609,6 +631,8 @@ enum OpenEvent {
         core: u32,
         cost: OpCost,
     },
+    /// A worker whose request failed has paid the time it spent.
+    Free(u32),
     /// Background-flusher tick.
     Tick,
     /// Queue-depth sample.
@@ -739,7 +763,7 @@ pub fn run_open_loop_in<D: SchedDriver + ?Sized>(
                 arrived,
                 core,
             } => match issue(driver, &mut device, worker, now)? {
-                Some((completed, cost)) => {
+                (completed, Some(cost)) => {
                     queue.schedule(
                         completed,
                         OpenEvent::Done {
@@ -752,12 +776,19 @@ pub fn run_open_loop_in<D: SchedDriver + ?Sized>(
                     );
                     None
                 }
-                None => {
-                    // The request is consumed (open loops don't retry).
+                (released, None) => {
+                    // The request is consumed (open loops don't retry);
+                    // the worker frees once its spent time is paid.
                     out.failed += 1;
-                    Some(worker)
+                    if released == now {
+                        Some(worker)
+                    } else {
+                        queue.schedule(released, OpenEvent::Free(worker));
+                        None
+                    }
                 }
             },
+            OpenEvent::Free(worker) => Some(worker),
             OpenEvent::Done {
                 worker,
                 arrived,
@@ -923,11 +954,11 @@ mod tests {
     }
 
     impl<F: FnMut(u64) -> SimResult<OpCost>> SchedDriver for Script<F> {
-        fn exec(&mut self, process: u32, _now: Nanos) -> SimResult<OpCost> {
+        fn exec(&mut self, process: u32, _now: Nanos) -> Result<OpCost, Failed> {
             self.issued.push(process);
             let i = self.executed;
             self.executed += 1;
-            (self.costs)(i)
+            Ok((self.costs)(i)?)
         }
 
         fn tick(&mut self, start: Nanos) -> Nanos {
@@ -1185,7 +1216,7 @@ mod tests {
             n: u64,
         }
         impl SchedDriver for Check {
-            fn exec(&mut self, _p: u32, _now: Nanos) -> SimResult<OpCost> {
+            fn exec(&mut self, _p: u32, _now: Nanos) -> Result<OpCost, Failed> {
                 Ok(OpCost {
                     cpu: Nanos::from_micros(2),
                     device: Nanos::from_micros(50),
@@ -1256,5 +1287,71 @@ mod tests {
         let result = run_closed_loop(&config, &mut driver);
         assert!(result.is_err());
         assert_eq!(driver.errors_seen, 5);
+    }
+
+    /// Fails every op after it spent 500 µs of backoff and 500 µs of
+    /// recovery.
+    struct GiveUp {
+        issues: Vec<Nanos>,
+    }
+
+    impl SchedDriver for GiveUp {
+        fn exec(&mut self, _p: u32, now: Nanos) -> Result<OpCost, Failed> {
+            self.issues.push(now);
+            Err(Failed {
+                error: SimError::NotFound("gone".into()),
+                spent: OpCost {
+                    cpu: Nanos::from_micros(500),
+                    device: Nanos::from_micros(500),
+                },
+            })
+        }
+        fn tick(&mut self, _s: Nanos) -> Nanos {
+            Nanos::ZERO
+        }
+        fn on_complete(&mut self, _c: &Completion) -> SimResult<()> {
+            unreachable!("every op fails")
+        }
+        fn on_error(&mut self, _p: u32, _now: Nanos, _e: SimError) -> SimResult<()> {
+            Ok(())
+        }
+    }
+
+    /// A failed op holds its process for the time it spent: each cycle
+    /// is think + backoff + recovery, 1010 µs, not the think time alone.
+    #[test]
+    fn closed_loop_charges_a_failed_ops_spent_time() {
+        let config = SchedConfig {
+            processes: 1,
+            cores: 1,
+            start: Nanos::ZERO,
+            duration: Nanos::from_millis(10),
+            think: Nanos::from_micros(10),
+            tick_every: Nanos::ZERO,
+        };
+        let mut driver = GiveUp { issues: Vec::new() };
+        run_closed_loop(&config, &mut driver).unwrap();
+        let want: Vec<Nanos> = (0..10).map(|k| Nanos::from_micros(10 + 1010 * k)).collect();
+        assert_eq!(driver.issues, want);
+    }
+
+    /// The open loop frees a failed request's worker only once its
+    /// spent time is paid, so one saturated worker fails one request
+    /// per 1010 µs cycle.
+    #[test]
+    fn open_loop_charges_a_failed_ops_spent_time() {
+        let config = open_config(
+            Nanos::from_millis(10),
+            Arrival::Poisson { rate: 1_000_000 },
+            1,
+            1_000_000,
+        );
+        let mut driver = GiveUp { issues: Vec::new() };
+        let out = run_open_loop(&config, Rng::new(3).fork("arrivals"), &mut driver).unwrap();
+        assert_eq!(out.completed, 0);
+        assert_eq!(out.failed, driver.issues.len() as u64);
+        for pair in driver.issues.windows(2) {
+            assert!(pair[1] - pair[0] >= Nanos::from_micros(1010), "{pair:?}");
+        }
     }
 }

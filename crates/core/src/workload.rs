@@ -8,7 +8,7 @@
 //! the other classic personalities (web server, file server, varmail,
 //! postmark) are provided for the broader suite.
 
-use crate::sched::{Arrival, Completion, OpenLoopConfig, SchedConfig, SchedDriver};
+use crate::sched::{Arrival, Completion, Failed, OpenLoopConfig, SchedConfig, SchedDriver};
 use crate::target::Target;
 use rb_simcore::dist::{Dist, Zipf};
 use rb_simcore::error::{SimError, SimResult};
@@ -1139,8 +1139,10 @@ impl EngineDriver<'_> {
     /// The serial measured phase: one process on the target clock. Each
     /// op issues at the clock's current instant; the clock then moves
     /// by the op's latency and, after it, the think time (op overhead).
-    /// Untimed targets have already moved their own clock through the
-    /// op, so only the think time is added for them.
+    /// A failed op moves it by what it spent before giving up. Untimed
+    /// targets have already moved their own clock through the op, its
+    /// backoff and any recovery, so the op completes at the clock's
+    /// reading afterwards and only the think time is added.
     fn run_serial(&mut self, sched: &SchedConfig) -> SimResult<Nanos> {
         let timed = self.target.supports_timed();
         let end = sched.start + sched.duration;
@@ -1160,22 +1162,31 @@ impl EngineDriver<'_> {
             }
             match self.exec(0, now) {
                 Ok(cost) => {
-                    let latency = cost.total();
+                    let completed = if timed {
+                        now + cost.total()
+                    } else {
+                        self.target.now()
+                    };
                     self.on_complete(&Completion {
                         process: 0,
                         arrived: now,
                         issued: now,
                         core: 0,
-                        completed: now + latency,
+                        completed,
                         cost,
                     })?;
-                    let moved = if timed { latency } else { Nanos::ZERO };
+                    let moved = if timed { completed - now } else { Nanos::ZERO };
                     self.target.advance(moved + sched.think);
                 }
-                Err(e) => {
-                    self.on_error(0, now, e)?;
+                Err(failed) => {
+                    self.on_error(0, now, failed.error)?;
                     // Errors still cost framework time; avoids a spin.
-                    self.target.advance(sched.think);
+                    let spent = if timed {
+                        failed.spent.total()
+                    } else {
+                        Nanos::ZERO
+                    };
+                    self.target.advance(spent + sched.think);
                 }
             }
         }
@@ -1185,12 +1196,14 @@ impl EngineDriver<'_> {
 impl SchedDriver for EngineDriver<'_> {
     /// One operation: crash recovery when due, the weighted draw, the
     /// (possibly retried) execution, and the ledger accounting. Backoff
-    /// between attempts folds into the op's CPU charge, so the caller
-    /// sees one longer operation rather than N short ones — the worker
-    /// holds its core through the retry storm, like a thread spinning
-    /// in the kernel's resubmit path.
-    fn exec(&mut self, process: u32, now: Nanos) -> SimResult<OpCost> {
-        let mut recovery = Nanos::ZERO;
+    /// between attempts folds into the op's CPU charge and recovery
+    /// into its device charge, whether the op succeeds or gives up, so
+    /// the caller sees one longer operation rather than N short ones —
+    /// the worker holds its core through the retry storm, like a thread
+    /// spinning in the kernel's resubmit path. An untimed target runs
+    /// them on its own clock instead, like the op itself.
+    fn exec(&mut self, process: u32, now: Nanos) -> Result<OpCost, Failed> {
+        let mut spent = OpCost::default();
         if self.crash_at.is_some_and(|at| now >= at) {
             // First issue past the crash instant pays for recovery: its
             // device charge carries the replay I/O, so every later op
@@ -1202,7 +1215,10 @@ impl SchedDriver for EngineDriver<'_> {
                 l.crash = Some(report);
                 l.degraded += report.recovery;
             }
-            recovery = report.recovery;
+            spent.device = report.recovery;
+            if !self.target.supports_timed() {
+                self.target.advance(report.recovery);
+            }
         }
         let rng = &mut self.rngs[process as usize];
         // One weighted draw from this process's own stream, dispatched
@@ -1213,7 +1229,6 @@ impl SchedDriver for EngineDriver<'_> {
             l.attempted += 1;
         }
         let mut attempts = 0u32;
-        let mut backoff = Nanos::ZERO;
         loop {
             let result = Engine::execute_timed(
                 self.target,
@@ -1223,7 +1238,7 @@ impl SchedDriver for EngineDriver<'_> {
                 self.workload,
                 &mut self.rngs[process as usize],
                 &mut self.created_serial,
-                now + backoff,
+                now + spent.cpu,
             );
             match result {
                 Ok(mut cost) => {
@@ -1235,24 +1250,27 @@ impl SchedDriver for EngineDriver<'_> {
                             l.succeeded += 1;
                         }
                     }
-                    cost.cpu += backoff;
-                    cost.device += recovery;
+                    cost.cpu += spent.cpu;
+                    cost.device += spent.device;
                     return Ok(cost);
                 }
                 Err(e) if Engine::is_fault_error(&e) && attempts < self.config.retry.retries() => {
                     attempts += 1;
                     let wait = rb_faults::RetryPolicy::backoff(attempts);
-                    backoff += wait;
+                    spent.cpu += wait;
                     if let Some(l) = &mut self.ledger {
                         l.degraded += wait;
                     }
+                    if !self.target.supports_timed() {
+                        self.target.advance(wait);
+                    }
                 }
-                Err(e) => {
+                Err(error) => {
                     if let Some(l) = &mut self.ledger {
                         l.gave_up += 1;
                         l.retries += attempts as u64;
                     }
-                    return Err(e);
+                    return Err(Failed { error, spent });
                 }
             }
         }
@@ -1830,6 +1848,90 @@ mod tests {
             assert_eq!(a.per_op, b.per_op, "{}: per-op map", w.name);
             assert_eq!(direct.now(), untimed_clock, "{}: final clock", w.name);
         }
+    }
+
+    /// An untimed stack whose `close` takes 1 µs of its own clock.
+    struct SlowClose(crate::target::SimTarget);
+
+    impl Target for SlowClose {
+        fn name(&self) -> String {
+            "slow-close".into()
+        }
+        fn now(&self) -> Nanos {
+            self.0.now()
+        }
+        fn advance(&mut self, d: Nanos) {
+            self.0.advance(d);
+        }
+        fn create(&mut self, path: &str) -> SimResult<Nanos> {
+            self.0.create(path)
+        }
+        fn mkdir(&mut self, path: &str) -> SimResult<Nanos> {
+            self.0.mkdir(path)
+        }
+        fn unlink(&mut self, path: &str) -> SimResult<Nanos> {
+            self.0.unlink(path)
+        }
+        fn stat(&mut self, path: &str) -> SimResult<Nanos> {
+            self.0.stat(path)
+        }
+        fn open(&mut self, path: &str) -> SimResult<Fd> {
+            self.0.open(path)
+        }
+        fn close(&mut self, fd: Fd) -> SimResult<()> {
+            self.0.advance(Nanos::from_micros(1));
+            self.0.close(fd)
+        }
+        fn set_size(&mut self, fd: Fd, size: Bytes) -> SimResult<Nanos> {
+            self.0.set_size(fd, size)
+        }
+        fn read(&mut self, fd: Fd, offset: Bytes, len: Bytes) -> SimResult<Nanos> {
+            self.0.read(fd, offset, len)
+        }
+        fn write(&mut self, fd: Fd, offset: Bytes, len: Bytes) -> SimResult<Nanos> {
+            self.0.write(fd, offset, len)
+        }
+        fn fsync(&mut self, fd: Fd) -> SimResult<Nanos> {
+            self.0.fsync(fd)
+        }
+        fn drop_caches(&mut self) -> bool {
+            self.0.drop_caches()
+        }
+    }
+
+    /// On an untimed target a serial op completes at the target clock's
+    /// reading after it, so the recorded latency covers the whole call
+    /// — here an `OpenClose` whose close the `open_at` default cannot
+    /// see — and the next op issues after the think time.
+    #[test]
+    fn serial_untimed_ops_complete_at_the_target_clock() {
+        let w = Workload {
+            name: "open-close".into(),
+            filesets: vec![FileSet {
+                dir: "/o".into(),
+                count: 1,
+                size: Dist::Constant(4096.0),
+                prealloc: true,
+            }],
+            ops: vec![(FlowOp::OpenClose { set: 0 }, 1)],
+            op_overhead: Nanos::from_micros(30),
+            zipf_theta: 0.0,
+        };
+        let mut cfg = quick_cfg(1, 5);
+        cfg.obs.trace = Some(rb_obs::TraceConfig { sample_every: 1 });
+        let mut t = SlowClose(testbed::paper_ext2(Bytes::gib(1), 5));
+        let rec = Engine::run(&mut t, &w, &cfg).unwrap();
+        let events = rec.trace.expect("span trace").events;
+
+        let mut twin = testbed::paper_ext2(Bytes::gib(1), 5);
+        Engine::setup(&mut twin, &w, cfg.seed).unwrap();
+        twin.drop_caches();
+        let t0 = twin.now();
+        twin.open("/o/f000000").unwrap();
+        let open = twin.now() - t0;
+        assert!(events[0].begin && !events[1].begin && events[2].begin);
+        assert_eq!(events[1].ts - events[0].ts, open + Nanos::from_micros(1));
+        assert_eq!(events[2].ts - events[1].ts, Nanos::from_micros(30));
     }
 
     /// A serial `CreateFile` records create + open: the cost the pump

@@ -321,6 +321,56 @@ fn sticky_eio_gives_up_after_exactly_n_retries() {
     );
 }
 
+/// Runs the single-file read workload under `spec` with a bounded
+/// budget of three retries, serially.
+fn sticky_read_run(spec: &str) -> Recording {
+    let mut cfg = engine_cfg(9);
+    cfg.duration = Nanos::from_secs(1);
+    cfg.faults = Some(FaultSpec::parse(spec).unwrap());
+    cfg.retry = RetryPolicy::Bounded { retries: 3 };
+    let mut target = testbed::paper_ext2(Bytes::gib(1), cfg.seed);
+    let workload = personalities::random_read(Bytes::mib(8));
+    Engine::run(&mut target, &workload, &cfg).expect("run survives total media failure")
+}
+
+/// A given-up op still pays its backoff on the serial clock, so the
+/// degraded time (here all backoff) fits inside the run it was spent
+/// in.
+#[test]
+fn given_up_ops_pay_their_backoff() {
+    let rec = sticky_read_run("eio-sticky:1");
+    let l = ledger_of(&rec);
+    assert_eq!(l.gave_up, l.attempted);
+    assert!(
+        l.degraded <= rec.duration,
+        "degraded {:?} exceeds the run's {:?}",
+        l.degraded,
+        rec.duration
+    );
+}
+
+/// Crash recovery is charged even when the first op past the crash
+/// fails: under a certain sticky bad block every op gives up, and the
+/// crashed run loses the recovery's worth of attempts.
+#[test]
+fn crash_recovery_is_charged_when_the_next_op_fails() {
+    let plain = sticky_read_run("eio-sticky:1");
+    let crashed = sticky_read_run("eio-sticky:1,crash:200ms");
+    let (p, c) = (ledger_of(&plain), ledger_of(&crashed));
+    assert_eq!(
+        c.succeeded + c.retried_ok,
+        0,
+        "the op past the crash failed"
+    );
+    let recovery = c.crash.expect("crash plan records a report").recovery;
+    let cycle = plain.duration.as_nanos() / p.attempted;
+    let lost = (p.attempted - c.attempted) * cycle;
+    assert!(
+        lost.abs_diff(recovery.as_nanos()) <= cycle,
+        "lost {lost} ns of attempts for a {recovery:?} recovery"
+    );
+}
+
 // ------------------------------------------------------- CLI parsing --
 
 /// The parse/label round-trip behind one-line CLI errors: canonical
