@@ -1,6 +1,7 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
-//! replacement policy, I/O scheduler, allocator, and readahead — each
-//! swept while everything else is held fixed. Criterion reports the
+//! I/O scheduler, allocator, and readahead — each swept while
+//! everything else is held fixed (the replacement-policy cost is the
+//! perfgate `layer/cache-*` scenarios). Criterion reports the
 //! simulation cost; the printed side-channel metrics (hit ratios, drain
 //! times) are the experimental result.
 
@@ -9,45 +10,12 @@ use rb_simcache::cache::{CacheConfig, PageCache};
 use rb_simcache::policy::PolicyKind;
 use rb_simcache::readahead::ReadaheadConfig;
 use rb_simcache::writeback::WritebackConfig;
-use rb_simcore::dist::Zipf;
 use rb_simcore::rng::Rng;
 use rb_simcore::time::Nanos;
 use rb_simdisk::device::{BlockDevice, IoRequest};
 use rb_simdisk::hdd::{Hdd, HddConfig};
 use rb_simdisk::sched::{IoQueue, SchedPolicy};
 use rb_simfs::alloc::{BitmapAllocator, ExtentAllocator};
-
-/// Replacement-policy ablation: zipf-skewed reads, cache at 25 % of the
-/// working set. Prints the achieved hit ratio per policy once.
-fn bench_policy_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/policy_zipf");
-    for kind in PolicyKind::ALL {
-        // Report hit ratio out-of-band (once per policy).
-        let mut cache = PageCache::new(CacheConfig {
-            capacity_pages: 2048,
-            policy: kind,
-            readahead: ReadaheadConfig::disabled(),
-            writeback: WritebackConfig::default(),
-        });
-        let zipf = Zipf::new(8192, 0.9);
-        let mut rng = Rng::new(7);
-        for _ in 0..100_000 {
-            cache.read(1, zipf.sample(&mut rng) as u64, 1, 8192, Nanos::ZERO);
-        }
-        eprintln!(
-            "ablation/policy_zipf/{}: hit ratio {:.3}",
-            kind.name(),
-            cache.stats().hit_ratio()
-        );
-        group.bench_function(kind.name(), |b| {
-            b.iter(|| {
-                let page = zipf.sample(&mut rng) as u64;
-                black_box(cache.read(1, page, 1, 8192, Nanos::ZERO).hit_pages)
-            });
-        });
-    }
-    group.finish();
-}
 
 /// Scheduler ablation: drain a 64-request scattered batch; prints the
 /// virtual completion time per policy.
@@ -174,7 +142,6 @@ fn bench_readahead_ablation(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_policy_ablation,
     bench_scheduler_ablation,
     bench_allocator_ablation,
     bench_readahead_ablation

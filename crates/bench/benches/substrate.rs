@@ -2,10 +2,6 @@
 //! simulator's own performance (a slow simulator caps experiment scale).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use rb_simcache::cache::{CacheConfig, PageCache};
-use rb_simcache::policy::PolicyKind;
-use rb_simcache::readahead::ReadaheadConfig;
-use rb_simcache::writeback::WritebackConfig;
 use rb_simcore::rng::Rng;
 use rb_simcore::time::Nanos;
 use rb_simdisk::device::{BlockDevice, IoRequest};
@@ -49,26 +45,6 @@ fn bench_hdd(c: &mut Criterion) {
     });
 }
 
-fn bench_cache_policies(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cache/read_mixed");
-    for kind in PolicyKind::ALL {
-        group.bench_function(kind.name(), |b| {
-            let mut cache = PageCache::new(CacheConfig {
-                capacity_pages: 4096,
-                policy: kind,
-                readahead: ReadaheadConfig::disabled(),
-                writeback: WritebackConfig::default(),
-            });
-            let mut rng = Rng::new(3);
-            b.iter(|| {
-                let page = rng.below(8192);
-                black_box(cache.read(1, page, 2, 8192, Nanos::ZERO).hit_pages)
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_histogram(c: &mut Criterion) {
     c.bench_function("stats/histogram_record", |b| {
         let mut h = Log2Histogram::new();
@@ -80,5 +56,5 @@ fn bench_histogram(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_rng, bench_hdd, bench_cache_policies, bench_histogram);
+criterion_group!(benches, bench_rng, bench_hdd, bench_histogram);
 criterion_main!(benches);

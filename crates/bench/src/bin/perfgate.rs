@@ -10,10 +10,13 @@
 //! heap, a flight-recorder overhead probe (the scheduler run with
 //! every recorder off, gated at ≤2% against the pre-recorder
 //! trajectory), and a fault-layer overhead probe (the same run with
-//! no fault plan armed, under the same ≤2% budget) — over N
-//! repetitions, and writes a JSON (`BENCH_PR<n>.json`) with
-//! median + IQR wall time, throughput in scenario work units per
-//! second, and peak RSS (from `/proc/self/status` where available).
+//! no fault plan armed, under the same ≤2% budget) — plus four
+//! per-layer scenarios that time the page cache alone under each
+//! replacement policy (`layer/cache-{lru,clock,2q,arc}`, a fixed
+//! mixed hit/miss/evict read loop), over N repetitions, and writes a
+//! JSON (`BENCH_PR<n>.json`) with median + IQR wall time, throughput
+//! in scenario work units per second, host ns per work unit, and peak
+//! RSS (from `/proc/self/status` where available).
 //! One such file per PR is the performance trajectory of the harness;
 //! the default `--out` is `results/perfgate.json`, so a trajectory file
 //! is only ever written when named explicitly.
@@ -54,7 +57,13 @@ use rb_core::testbed;
 use rb_core::trace::{apply, replay_with, ReplayConfig, Timing, Trace, Transform};
 use rb_core::workload::{personalities, Engine, EngineConfig};
 use rb_obs::ObsConfig;
+use rb_simcache::cache::{CacheConfig, PageCache};
+use rb_simcache::policy::PolicyKind;
+use rb_simcache::readahead::ReadaheadConfig;
+use rb_simcache::writeback::WritebackConfig;
+use rb_simcore::dist::Zipf;
 use rb_simcore::events::EventQueue;
+use rb_simcore::rng::Rng;
 use rb_simcore::time::Nanos;
 use rb_simcore::units::Bytes;
 use std::time::Instant;
@@ -189,7 +198,7 @@ fn scaled_golden() -> Trace {
 
 /// Scenario names, in run order (the parent dispatches children by
 /// name without constructing the scenarios themselves).
-const SCENARIO_NAMES: [&str; 9] = [
+const SCENARIO_NAMES: [&str; 13] = [
     "fig1-quick",
     "sweep-4x4",
     "replay-x32",
@@ -199,6 +208,10 @@ const SCENARIO_NAMES: [&str; 9] = [
     "obs-overhead",
     "faults-off",
     "sweep-warm",
+    "layer/cache-lru",
+    "layer/cache-clock",
+    "layer/cache-2q",
+    "layer/cache-arc",
 ];
 
 /// The warm pass of `sweep-warm` must be at least this many times
@@ -217,7 +230,45 @@ const OBS_OVERHEAD_FLOOR: f64 = 0.98;
 /// against the pre-faults scaling-8p trajectory.
 const FAULTS_OFF_FLOOR: f64 = 0.98;
 
-/// The nine canonical scenarios.
+/// A per-layer page-cache scenario: `reads` two-page reads against a
+/// 2,048-page cache under `policy`, alternating a Zipf-skewed page
+/// (mostly hits) with a uniform one over four times the capacity
+/// (mostly misses that evict). The work unit is a page, so the JSON's
+/// `ns_per_unit` is the policy's host ns/page.
+fn cache_layer(name: &'static str, policy: PolicyKind, reads: u64) -> Scenario {
+    const PAGES: u64 = 8192;
+    Scenario {
+        name,
+        unit: "pages",
+        run: Box::new(move || {
+            let mut cache = PageCache::new(CacheConfig {
+                capacity_pages: 2048,
+                policy,
+                readahead: ReadaheadConfig::disabled(),
+                writeback: WritebackConfig::default(),
+            });
+            let zipf = Zipf::new(PAGES as usize, 0.9);
+            let mut rng = Rng::new(7);
+            for i in 0..reads {
+                let page = if i % 2 == 0 {
+                    zipf.sample(&mut rng) as u64
+                } else {
+                    rng.below(PAGES)
+                };
+                let out = cache.read(1, page, 2, PAGES, Nanos::ZERO);
+                std::hint::black_box(out.hit_pages);
+            }
+            let stats = cache.stats();
+            assert!(
+                (0.1..0.9).contains(&stats.hit_ratio()) && stats.evicted_clean > 0,
+                "{name}: the loop must mix hits, misses and evictions ({stats:?})"
+            );
+            2 * reads
+        }),
+    }
+}
+
+/// The nine end-to-end scenarios and the four per-layer ones.
 fn scenarios(quick: bool) -> Vec<Scenario> {
     // Scenario 1: the quick Figure 1 campaign (single worker so the
     // measurement is a plain single-thread workload).
@@ -523,8 +574,22 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
             (cold.stats.expanded + warm.stats.expanded) as u64
         }),
     };
+    // Scenarios 10-13: the page cache alone, one per policy.
+    let reads: u64 = if quick { 100_000 } else { 500_000 };
     vec![
-        fig1, sweep, replay, scaling, open, pump, obs_probe, faults_off, sweep_warm,
+        fig1,
+        sweep,
+        replay,
+        scaling,
+        open,
+        pump,
+        obs_probe,
+        faults_off,
+        sweep_warm,
+        cache_layer("layer/cache-lru", PolicyKind::Lru, reads),
+        cache_layer("layer/cache-clock", PolicyKind::Clock, reads),
+        cache_layer("layer/cache-2q", PolicyKind::TwoQ, reads),
+        cache_layer("layer/cache-arc", PolicyKind::Arc, reads),
     ]
 }
 
@@ -584,8 +649,13 @@ fn run_isolated(names: &[&'static str], reps: usize, quick: bool) -> Option<(Str
     let mut fragments = Vec::new();
     let mut rss: Option<u64> = None;
     for name in names {
-        let tmp =
-            std::env::temp_dir().join(format!("perfgate-{}-{}.json", std::process::id(), name));
+        // Layer scenario names contain '/', which a file name cannot.
+        let file = format!(
+            "perfgate-{}-{}.json",
+            std::process::id(),
+            name.replace('/', "_")
+        );
+        let tmp = std::env::temp_dir().join(file);
         let mut cmd = std::process::Command::new(&exe);
         cmd.arg("--only")
             .arg(name)
@@ -755,8 +825,8 @@ fn main() {
         scenarios.retain(|s| s.name == only.as_str());
     }
     println!(
-        "{:<12} {:>6} {:>12} {:>10} {:>14}",
-        "scenario", "reps", "median ms", "iqr ms", "work/s"
+        "{:<18} {:>6} {:>12} {:>10} {:>14} {:>10}",
+        "scenario", "reps", "median ms", "iqr ms", "work/s", "ns/unit"
     );
     let mut rendered: Vec<String> = Vec::new();
     for s in &mut scenarios {
@@ -776,9 +846,10 @@ fn main() {
         } else {
             0.0
         };
+        let ns_per_unit = median * 1e6 / units.max(1) as f64;
         println!(
-            "{:<12} {:>6} {:>12.1} {:>10.1} {:>14.0}",
-            s.name, reps, median, iqr, per_sec
+            "{:<18} {:>6} {:>12.1} {:>10.1} {:>14.0} {:>10.1}",
+            s.name, reps, median, iqr, per_sec, ns_per_unit
         );
         rendered.push(
             Json::obj(vec![
@@ -788,6 +859,10 @@ fn main() {
                 ("wall_ms_median", Json::Num((median * 10.0).round() / 10.0)),
                 ("wall_ms_iqr", Json::Num((iqr * 10.0).round() / 10.0)),
                 ("units_per_sec", Json::Num(per_sec.round())),
+                (
+                    "ns_per_unit",
+                    Json::Num((ns_per_unit * 10.0).round() / 10.0),
+                ),
                 (
                     "wall_ms_samples",
                     Json::Arr(

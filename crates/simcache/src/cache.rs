@@ -10,6 +10,7 @@
 use crate::page::{CacheStats, FileId, PageKey};
 use crate::policy::{EvictionPolicy, PolicyKind};
 use crate::readahead::{Readahead, ReadaheadConfig};
+use crate::slots::NIL;
 use crate::writeback::{Writeback, WritebackConfig};
 use rb_simcore::fnv::FnvHashMap;
 use rb_simcore::time::Nanos;
@@ -41,9 +42,15 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Meta {
+/// One resident page: a slot of the page table.
+#[derive(Debug, Clone, Copy)]
+struct Page {
+    key: PageKey,
+    /// Brought in by readahead and not yet read.
     prefetched: bool,
+    /// Neighbours in the owning file's chain (`NIL` at either end).
+    prev: u32,
+    next: u32,
 }
 
 /// Result of a read access.
@@ -92,16 +99,17 @@ pub struct WriteOutcome {
 pub struct PageCache {
     config: CacheConfig,
     policy: Box<dyn EvictionPolicy>,
-    // Residency and readahead sit on the per-page hot path: FNV-keyed
-    // maps (see `rb_simcore::fnv`) — a 16-byte key hash per probe
-    // instead of SipHash.
-    resident: FnvHashMap<PageKey, Meta>,
-    // Per-file page index so fsync and invalidate_file touch only the
-    // file's own pages instead of scanning the whole resident map
-    // (fsync/unlink-heavy workloads spent most of their time in that
-    // scan). Sets are unordered; every consumer either sorts
-    // (`fsync`) or is order-insensitive (`invalidate_file`).
-    by_file: FnvHashMap<FileId, rb_simcore::fnv::FnvHashSet<PageNo>>,
+    // The page table: one slot of `pages` per resident page, and
+    // `index`, the only key → slot map (FNV-keyed, see
+    // `rb_simcore::fnv`). The policy and the per-file chains speak in
+    // slots, so a page access costs one probe, not one per structure.
+    pages: Vec<Page>,
+    free: Vec<u32>,
+    index: FnvHashMap<PageKey, u32>,
+    // Head of each file's chain through `pages`, so fsync and
+    // invalidate_file touch only the file's own pages. Chains are
+    // unordered; `fsync` sorts, `invalidate_file` does not care.
+    by_file: FnvHashMap<FileId, u32>,
     readahead: FnvHashMap<FileId, Readahead>,
     writeback: Writeback,
     stats: CacheStats,
@@ -115,7 +123,9 @@ impl PageCache {
         PageCache {
             config,
             policy,
-            resident: FnvHashMap::default(),
+            pages: Vec::new(),
+            free: Vec::new(),
+            index: FnvHashMap::default(),
             by_file: FnvHashMap::default(),
             readahead: FnvHashMap::default(),
             writeback,
@@ -130,7 +140,7 @@ impl PageCache {
 
     /// Currently resident pages.
     pub fn resident_pages(&self) -> u64 {
-        self.resident.len() as u64
+        self.index.len() as u64
     }
 
     /// Number of dirty pages awaiting writeback.
@@ -150,7 +160,7 @@ impl PageCache {
 
     /// Returns true if the page is resident.
     pub fn is_resident(&self, file: FileId, page: PageNo) -> bool {
-        self.resident.contains_key(&PageKey::new(file, page))
+        self.index.contains_key(&PageKey::new(file, page))
     }
 
     /// Resizes the cache (models OS memory pressure / per-run jitter).
@@ -162,52 +172,73 @@ impl PageCache {
         self.evict_to_capacity()
     }
 
-    /// Drops a page from the residency maps (not the policy).
-    fn forget_page(&mut self, key: PageKey) {
-        self.resident.remove(&key);
-        if let Some(pages) = self.by_file.get_mut(&key.file) {
-            pages.remove(&key.page);
-            if pages.is_empty() {
+    /// Drops `slot` from the page table (index and file chain) and
+    /// frees it; the policy is the caller's business.
+    fn release(&mut self, slot: u32) -> PageKey {
+        let Page {
+            key, prev, next, ..
+        } = self.pages[slot as usize];
+        self.index.remove(&key);
+        if next != NIL {
+            self.pages[next as usize].prev = prev;
+        }
+        match prev {
+            NIL if next == NIL => {
                 self.by_file.remove(&key.file);
             }
+            NIL => {
+                self.by_file.insert(key.file, next);
+            }
+            p => self.pages[p as usize].next = next,
         }
+        self.free.push(slot);
+        key
     }
 
     fn evict_to_capacity(&mut self) -> Vec<PageKey> {
         let mut dirty = Vec::new();
-        while self.resident.len() as u64 > self.config.capacity_pages {
-            match self.policy.evict() {
-                Some(victim) => {
-                    self.forget_page(victim);
-                    // One probe: clearing reports whether it was dirty.
-                    if self.writeback.take(victim) {
-                        self.stats.evicted_dirty += 1;
-                        dirty.push(victim);
-                    } else {
-                        self.stats.evicted_clean += 1;
-                    }
-                }
-                None => break,
+        while self.index.len() as u64 > self.config.capacity_pages {
+            let Some(slot) = self.policy.evict() else {
+                break;
+            };
+            let victim = self.release(slot);
+            // One probe: clearing reports whether it was dirty.
+            if self.writeback.take(victim) {
+                self.stats.evicted_dirty += 1;
+                dirty.push(victim);
+            } else {
+                self.stats.evicted_clean += 1;
             }
         }
         dirty
     }
 
-    fn insert_page(&mut self, key: PageKey, prefetched: bool) {
-        if self.resident.contains_key(&key) {
-            return;
+    /// Makes the non-resident `key` resident: a slot at the head of its
+    /// file's chain, an index entry, and a place in the policy.
+    fn insert_absent(&mut self, key: PageKey, prefetched: bool) {
+        let head = self.by_file.entry(key.file).or_insert(NIL);
+        let page = Page {
+            key,
+            prefetched,
+            prev: NIL,
+            next: *head,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.pages[slot as usize] = page;
+                slot
+            }
+            None => {
+                self.pages.push(page);
+                (self.pages.len() - 1) as u32
+            }
+        };
+        if *head != NIL {
+            self.pages[*head as usize].prev = slot;
         }
-        self.insert_page_absent(key, prefetched);
-    }
-
-    /// [`PageCache::insert_page`] when the caller has already proven the
-    /// page is not resident (saves the duplicate residency probe on the
-    /// miss-insert hot path).
-    fn insert_page_absent(&mut self, key: PageKey, prefetched: bool) {
-        debug_assert!(!self.resident.contains_key(&key));
-        self.resident.insert(key, Meta { prefetched });
-        self.by_file.entry(key.file).or_default().insert(key.page);
-        self.policy.insert(key);
+        *head = slot;
+        self.index.insert(key, slot);
+        self.policy.insert(slot, key);
         self.stats.insertions += 1;
         if prefetched {
             self.stats.prefetched += 1;
@@ -231,18 +262,20 @@ impl PageCache {
         let mut out = ReadOutcome::default();
         for page in first..first + count {
             let key = PageKey::new(file, page);
-            if let Some(meta) = self.resident.get_mut(&key) {
+            // `get`, not `entry`: the hit path stays one plain probe.
+            if let Some(&slot) = self.index.get(&key) {
                 self.stats.hits += 1;
                 out.hit_pages += 1;
-                if meta.prefetched {
-                    meta.prefetched = false;
+                let resident = &mut self.pages[slot as usize];
+                if resident.prefetched {
+                    resident.prefetched = false;
                     self.stats.prefetch_hits += 1;
                 }
-                self.policy.touch(key);
+                self.policy.touch(slot);
             } else {
                 self.stats.misses += 1;
                 out.miss_pages.push(page);
-                self.insert_page_absent(key, false);
+                self.insert_absent(key, false);
             }
         }
         // Readahead beyond the request.
@@ -255,9 +288,9 @@ impl PageCache {
         let ra_end = (ra_start + window).min(file_pages);
         for page in ra_start..ra_end {
             let key = PageKey::new(file, page);
-            if !self.resident.contains_key(&key) {
+            if !self.index.contains_key(&key) {
                 out.prefetch_pages.push(page);
-                self.insert_page_absent(key, true);
+                self.insert_absent(key, true);
             }
         }
         out.writeback_pages = self.evict_to_capacity();
@@ -267,7 +300,10 @@ impl PageCache {
     /// Inserts a single clean page (file-system cluster fetch), returning
     /// any dirty pages evicted to make room.
     pub fn insert_clean(&mut self, file: FileId, page: PageNo) -> Vec<PageKey> {
-        self.insert_page(PageKey::new(file, page), false);
+        let key = PageKey::new(file, page);
+        if !self.index.contains_key(&key) {
+            self.insert_absent(key, false);
+        }
         self.evict_to_capacity()
     }
 
@@ -278,10 +314,10 @@ impl PageCache {
     pub fn write(&mut self, file: FileId, first: PageNo, count: u64, now: Nanos) -> WriteOutcome {
         for page in first..first + count {
             let key = PageKey::new(file, page);
-            if self.resident.contains_key(&key) {
-                self.policy.touch(key);
+            if let Some(&slot) = self.index.get(&key) {
+                self.policy.touch(slot);
             } else {
-                self.insert_page_absent(key, false);
+                self.insert_absent(key, false);
             }
             self.writeback.mark_dirty(key, now);
         }
@@ -302,59 +338,58 @@ impl PageCache {
 
     /// Flushes every dirty page of `file` (fsync). Pages stay resident.
     pub fn fsync(&mut self, file: FileId) -> Vec<PageKey> {
-        let mine: Vec<PageKey> = match self.by_file.get(&file) {
-            Some(pages) => pages
-                .iter()
-                .map(|&p| PageKey::new(file, p))
-                .filter(|k| self.writeback.is_dirty(*k))
-                .collect(),
-            None => Vec::new(),
-        };
-        for k in &mine {
-            self.writeback.clear(*k);
+        let mut mine = Vec::new();
+        let mut slot = self.by_file.get(&file).copied().unwrap_or(NIL);
+        while slot != NIL {
+            let Page { key, next, .. } = self.pages[slot as usize];
+            if self.writeback.take(key) {
+                mine.push(key);
+            }
+            slot = next;
         }
         self.stats.writeback_flushed += mine.len() as u64;
-        let mut sorted = mine;
-        sorted.sort_unstable();
-        sorted
-    }
-
-    /// Flushes every dirty page in the cache (sync / unmount).
-    pub fn sync_all(&mut self) -> Vec<PageKey> {
-        self.writeback.drain_all()
+        mine.sort_unstable();
+        mine
     }
 
     /// Drops one page of `file` (a media read that never delivered its
     /// data — the inserted page must not masquerade as a future hit).
     pub fn invalidate_page(&mut self, file: FileId, page: PageNo) {
-        let k = PageKey::new(file, page);
-        self.forget_page(k);
-        self.policy.remove(k);
-        self.writeback.clear(k);
+        let key = PageKey::new(file, page);
+        match self.index.get(&key) {
+            Some(&slot) => {
+                self.policy.remove(slot);
+                self.release(slot);
+            }
+            None => self.policy.forget(key),
+        }
+        self.writeback.clear(key);
     }
 
     /// Drops every page of `file` (unlink / truncate). Dirty pages are
     /// discarded, as POSIX unlink discards un-synced data.
     pub fn invalidate_file(&mut self, file: FileId) {
-        if let Some(pages) = self.by_file.remove(&file) {
-            for p in pages {
-                let k = PageKey::new(file, p);
-                self.resident.remove(&k);
-                self.policy.remove(k);
-                self.writeback.clear(k);
-            }
+        // The whole chain goes, so its links need no repair.
+        let mut slot = self.by_file.remove(&file).unwrap_or(NIL);
+        while slot != NIL {
+            let Page { key, next, .. } = self.pages[slot as usize];
+            self.index.remove(&key);
+            self.policy.remove(slot);
+            self.writeback.clear(key);
+            self.free.push(slot);
+            slot = next;
         }
         self.readahead.remove(&file);
     }
 
     /// Drops every page in the cache (drop_caches).
     pub fn invalidate_all(&mut self) {
-        let keys: Vec<PageKey> = self.resident.keys().copied().collect();
-        for k in keys {
-            self.resident.remove(&k);
-            self.policy.remove(k);
-            self.writeback.clear(k);
+        for (key, slot) in self.index.drain() {
+            self.policy.remove(slot);
+            self.writeback.clear(key);
         }
+        self.pages.clear();
+        self.free.clear();
         self.by_file.clear();
         self.readahead.clear();
     }

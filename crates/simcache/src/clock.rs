@@ -6,23 +6,29 @@
 
 use crate::page::PageKey;
 use crate::policy::EvictionPolicy;
-use rb_simcore::fnv::FnvHashMap;
+use crate::slots;
 
 #[derive(Debug, Clone, Copy)]
-struct Slot {
+struct Entry {
+    slot: u32,
+    /// The page the slot held when it joined the ring. Only compaction
+    /// reads it, to re-aim the hand at the page it pointed at (the slot
+    /// of a dead entry may already hold another page).
     key: PageKey,
     referenced: bool,
     live: bool,
 }
 
-/// CLOCK replacement over a growable ring.
+/// CLOCK replacement over a growable ring of page-cache slots.
 ///
-/// Dead slots (from `remove`) are skipped by the hand and compacted when
-/// they exceed half the ring, keeping amortized costs O(1).
+/// `pos` maps each tracked slot to its ring position, so touch and
+/// remove are one array lookup. Dead entries (from `remove`) are skipped
+/// by the hand and compacted when they exceed half the ring, keeping
+/// amortized costs O(1).
 #[derive(Debug, Default)]
 pub struct Clock {
-    ring: Vec<Slot>,
-    index: FnvHashMap<PageKey, usize>,
+    ring: Vec<Entry>,
+    pos: Vec<u32>,
     hand: usize,
     dead: usize,
 }
@@ -37,85 +43,63 @@ impl Clock {
         if self.dead * 2 <= self.ring.len() || self.ring.is_empty() {
             return;
         }
-        let hand_key = self.ring.get(self.hand).map(|s| s.key);
-        let live: Vec<Slot> = self.ring.iter().copied().filter(|s| s.live).collect();
-        self.ring = live;
+        // Re-aim the hand at the live entry of the page it pointed at,
+        // or at the start when that page is gone.
+        let hand_key = self.ring.get(self.hand).map(|e| e.key);
+        self.ring.retain(|e| e.live);
         self.dead = 0;
-        self.index.clear();
-        for (i, s) in self.ring.iter().enumerate() {
-            self.index.insert(s.key, i);
-        }
-        // Re-aim the hand near where it was.
-        self.hand = hand_key
-            .and_then(|k| self.index.get(&k).copied())
-            .unwrap_or(0);
-        if self.ring.is_empty() {
-            self.hand = 0;
+        self.hand = 0;
+        for (i, e) in self.ring.iter().enumerate() {
+            self.pos[e.slot as usize] = i as u32;
+            if Some(e.key) == hand_key {
+                self.hand = i;
+            }
         }
     }
 }
 
 impl EvictionPolicy for Clock {
-    fn insert(&mut self, key: PageKey) {
-        if let Some(&i) = self.index.get(&key) {
-            self.ring[i].referenced = true;
-            return;
-        }
-        self.index.insert(key, self.ring.len());
-        self.ring.push(Slot {
+    fn insert(&mut self, slot: u32, key: PageKey) {
+        *slots::at(&mut self.pos, slot, 0) = self.ring.len() as u32;
+        self.ring.push(Entry {
+            slot,
             key,
             referenced: false,
             live: true,
         });
     }
 
-    fn touch(&mut self, key: PageKey) {
-        if let Some(&i) = self.index.get(&key) {
-            self.ring[i].referenced = true;
-        }
+    fn touch(&mut self, slot: u32) {
+        self.ring[self.pos[slot as usize] as usize].referenced = true;
     }
 
-    fn evict(&mut self) -> Option<PageKey> {
-        if self.index.is_empty() {
+    fn evict(&mut self) -> Option<u32> {
+        if self.ring.len() == self.dead {
             return None;
         }
         loop {
-            if self.ring.is_empty() {
-                return None;
-            }
             let i = self.hand % self.ring.len();
             self.hand = (i + 1) % self.ring.len();
-            let slot = &mut self.ring[i];
-            if !slot.live {
+            let e = &mut self.ring[i];
+            if !e.live {
                 continue;
             }
-            if slot.referenced {
-                slot.referenced = false;
+            if e.referenced {
+                e.referenced = false;
             } else {
-                slot.live = false;
+                e.live = false;
                 self.dead += 1;
-                let key = slot.key;
-                self.index.remove(&key);
+                let slot = e.slot;
                 self.compact();
-                return Some(key);
+                return Some(slot);
             }
         }
     }
 
-    fn remove(&mut self, key: PageKey) {
-        if let Some(i) = self.index.remove(&key) {
-            self.ring[i].live = false;
-            self.dead += 1;
-            self.compact();
-        }
-    }
-
-    fn contains(&self, key: PageKey) -> bool {
-        self.index.contains_key(&key)
-    }
-
-    fn len(&self) -> usize {
-        self.index.len()
+    fn remove(&mut self, slot: u32) {
+        self.ring[self.pos[slot as usize] as usize].live = false;
+        self.dead += 1;
+        self.compact();
     }
 
     fn name(&self) -> &'static str {
@@ -135,51 +119,57 @@ mod tests {
     fn unreferenced_evicted_first() {
         let mut c = Clock::new();
         for i in 0..4 {
-            c.insert(key(i));
+            c.insert(i, key(u64::from(i)));
         }
         // Reference 0 and 1; the hand should pass them once and evict 2.
-        c.touch(key(0));
-        c.touch(key(1));
-        assert_eq!(c.evict(), Some(key(2)));
+        c.touch(0);
+        c.touch(1);
+        assert_eq!(c.evict(), Some(2));
     }
 
     #[test]
     fn second_chance_granted_once() {
         let mut c = Clock::new();
-        c.insert(key(0));
-        c.touch(key(0));
+        c.insert(0, key(0));
+        c.touch(0);
         // First sweep clears the bit; second sweep evicts.
-        assert_eq!(c.evict(), Some(key(0)));
-        assert!(c.is_empty());
+        assert_eq!(c.evict(), Some(0));
+        assert_eq!(c.evict(), None);
     }
 
     #[test]
     fn compaction_preserves_membership() {
         let mut c = Clock::new();
         for i in 0..100 {
-            c.insert(key(i));
+            c.insert(i, key(u64::from(i)));
         }
         for i in 0..80 {
-            c.remove(key(i));
+            c.remove(i);
         }
-        assert_eq!(c.len(), 20);
+        // Touches after compaction still find their entries.
         for i in 80..100 {
-            assert!(c.contains(key(i)), "lost page {i} after compaction");
+            c.touch(i);
         }
-        let mut n = 0;
-        while c.evict().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 20);
+        let mut left: Vec<u32> = std::iter::from_fn(|| c.evict()).collect();
+        left.sort_unstable();
+        assert_eq!(left, (80..100).collect::<Vec<u32>>());
     }
 
     #[test]
-    fn insert_existing_sets_reference() {
+    fn compaction_reaims_the_hand_at_its_page() {
         let mut c = Clock::new();
-        c.insert(key(0));
-        c.insert(key(1));
-        c.insert(key(0)); // acts as a touch
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.evict(), Some(key(1)));
+        for i in 0..6 {
+            c.insert(i, key(u64::from(i)));
+        }
+        c.touch(0);
+        c.touch(1);
+        // The hand clears 0 and 1, evicts 2 and rests on 3.
+        assert_eq!(c.evict(), Some(2));
+        c.remove(0);
+        c.remove(4);
+        c.remove(5);
+        // Four of six entries are dead, so the ring compacted to [1, 3];
+        // the hand still points at 3, not back at 1.
+        assert_eq!(c.evict(), Some(3));
     }
 }

@@ -4,6 +4,10 @@
 //! pluggable replacement (LRU, CLOCK, 2Q, ARC), Linux-style sequential
 //! readahead, and dirty-page writeback.
 //!
+//! Residency is one page table: a slab of resident pages behind a single
+//! `PageKey → slot` map. The replacement policies ([`policy`]) and the
+//! per-file page chains work on slots, so a page access costs one probe.
+//!
 //! The paper's central case study is *entirely* a cache story: the
 //! Figure 1 cliff is the file size crossing cache capacity, the fragile
 //! ±35 % transition region is a few megabytes of capacity wobble, the
@@ -33,6 +37,7 @@ mod olist;
 pub mod page;
 pub mod policy;
 pub mod readahead;
+mod slots;
 pub mod twoq;
 pub mod writeback;
 

@@ -7,150 +7,42 @@
 
 use crate::page::PageKey;
 use crate::policy::EvictionPolicy;
-use rb_simcore::fnv::FnvHashMap;
+use crate::slots::SlotLists;
 
-/// Sentinel for "no slot".
-const NIL: u32 = u32::MAX;
-
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    key: PageKey,
-    prev: u32,
-    next: u32,
-}
-
-/// Exact LRU as an intrusive doubly-linked list over a slab.
+/// Exact LRU as one intrusive doubly-linked list over the page cache's
+/// slots.
 ///
-/// Every operation — insert, touch, evict, remove — is O(1): one FNV
-/// map probe plus pointer surgery. This replaced a stamp + ordered-map
-/// implementation whose per-touch tree rebalancing dominated the cache
-/// hot path; the recency order (and therefore every eviction decision)
-/// is identical.
-#[derive(Debug)]
+/// Every operation — insert, touch, evict, remove — is O(1) pointer
+/// surgery with no map probe: the cache's page table already resolved
+/// the page to its slot.
+#[derive(Debug, Default)]
 pub struct Lru {
-    slots: Vec<Node>,
-    free: Vec<u32>,
-    index: FnvHashMap<PageKey, u32>,
-    /// Least recently used end (eviction side); `NIL` when empty.
-    head: u32,
-    /// Most recently used end.
-    tail: u32,
-}
-
-impl Default for Lru {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Front = least recently used (eviction side).
+    order: SlotLists<1>,
 }
 
 impl Lru {
     /// Creates an empty LRU tracker.
     pub fn new() -> Self {
-        Lru {
-            slots: Vec::new(),
-            free: Vec::new(),
-            index: FnvHashMap::default(),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
-    /// Unlinks a slot from the list (leaves it allocated).
-    fn unlink(&mut self, i: u32) {
-        let Node { prev, next, .. } = self.slots[i as usize];
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n as usize].prev = prev,
-        }
-    }
-
-    /// Links a slot at the MRU end.
-    fn push_tail(&mut self, i: u32) {
-        self.slots[i as usize].prev = self.tail;
-        self.slots[i as usize].next = NIL;
-        match self.tail {
-            NIL => self.head = i,
-            t => self.slots[t as usize].next = i,
-        }
-        self.tail = i;
-    }
-
-    fn bump(&mut self, key: PageKey) {
-        use std::collections::hash_map::Entry;
-        // Single index probe for both the refresh and the insert case.
-        let slots = &mut self.slots;
-        let free = &mut self.free;
-        let (i, refresh) = match self.index.entry(key) {
-            Entry::Occupied(e) => (*e.get(), true),
-            Entry::Vacant(e) => {
-                let i = match free.pop() {
-                    Some(i) => {
-                        slots[i as usize].key = key;
-                        i
-                    }
-                    None => {
-                        slots.push(Node {
-                            key,
-                            prev: NIL,
-                            next: NIL,
-                        });
-                        (slots.len() - 1) as u32
-                    }
-                };
-                e.insert(i);
-                (i, false)
-            }
-        };
-        if refresh {
-            self.unlink(i);
-        }
-        self.push_tail(i);
+        Lru::default()
     }
 }
 
 impl EvictionPolicy for Lru {
-    fn insert(&mut self, key: PageKey) {
-        self.bump(key);
+    fn insert(&mut self, slot: u32, _key: PageKey) {
+        self.order.push_back(0, slot);
     }
 
-    fn touch(&mut self, key: PageKey) {
-        // Single index probe: a hit moves the slot to the MRU end, a
-        // miss is a no-op (never inserts, unlike `bump`).
-        if let Some(&i) = self.index.get(&key) {
-            self.unlink(i);
-            self.push_tail(i);
-        }
+    fn touch(&mut self, slot: u32) {
+        self.order.move_to_back(0, slot);
     }
 
-    fn evict(&mut self) -> Option<PageKey> {
-        let i = self.head;
-        if i == NIL {
-            return None;
-        }
-        let key = self.slots[i as usize].key;
-        self.unlink(i);
-        self.index.remove(&key);
-        self.free.push(i);
-        Some(key)
+    fn evict(&mut self) -> Option<u32> {
+        self.order.pop_front(0)
     }
 
-    fn remove(&mut self, key: PageKey) {
-        if let Some(i) = self.index.remove(&key) {
-            self.unlink(i);
-            self.free.push(i);
-        }
-    }
-
-    fn contains(&self, key: PageKey) -> bool {
-        self.index.contains_key(&key)
-    }
-
-    fn len(&self) -> usize {
-        self.index.len()
+    fn remove(&mut self, slot: u32) {
+        self.order.unlink(slot);
     }
 
     fn name(&self) -> &'static str {
@@ -170,57 +62,38 @@ mod tests {
     fn evicts_least_recent() {
         let mut l = Lru::new();
         for i in 0..5 {
-            l.insert(key(i));
+            l.insert(i, key(u64::from(i)));
         }
         // Touch 0 so 1 becomes the oldest.
-        l.touch(key(0));
-        assert_eq!(l.evict(), Some(key(1)));
-        assert_eq!(l.evict(), Some(key(2)));
+        l.touch(0);
+        assert_eq!(l.evict(), Some(1));
+        assert_eq!(l.evict(), Some(2));
     }
 
     #[test]
-    fn reinsert_refreshes() {
-        let mut l = Lru::new();
-        l.insert(key(1));
-        l.insert(key(2));
-        l.insert(key(1)); // refresh
-        assert_eq!(l.len(), 2);
-        assert_eq!(l.evict(), Some(key(2)));
-    }
-
-    #[test]
-    fn touch_unknown_is_noop() {
-        let mut l = Lru::new();
-        l.touch(key(9));
-        assert!(l.is_empty());
-    }
-
-    #[test]
-    fn remove_then_reuse_slots() {
+    fn removed_slots_are_reused_without_disturbing_order() {
         let mut l = Lru::new();
         for i in 0..8 {
-            l.insert(key(i));
+            l.insert(i, key(u64::from(i)));
         }
-        l.remove(key(3));
-        l.remove(key(0));
-        assert_eq!(l.len(), 6);
-        assert!(!l.contains(key(3)));
-        // Freed slots are reused without disturbing recency order.
-        l.insert(key(100));
-        l.insert(key(101));
-        assert_eq!(l.evict(), Some(key(1)));
-        assert_eq!(l.evict(), Some(key(2)));
-        assert_eq!(l.evict(), Some(key(4)));
+        l.remove(3);
+        l.remove(0);
+        // The cache hands freed slots to new pages.
+        l.insert(3, key(100));
+        l.insert(0, key(101));
+        let order: Vec<u32> = std::iter::from_fn(|| l.evict()).collect();
+        assert_eq!(order, vec![1, 2, 4, 5, 6, 7, 3, 0]);
     }
 
     #[test]
     fn sequential_scan_evicts_in_order() {
         let mut l = Lru::new();
         for i in 0..100 {
-            l.insert(key(i));
+            l.insert(i, key(u64::from(i)));
         }
         for i in 0..100 {
-            assert_eq!(l.evict(), Some(key(i)));
+            assert_eq!(l.evict(), Some(i));
         }
+        assert_eq!(l.evict(), None);
     }
 }

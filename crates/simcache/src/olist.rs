@@ -1,10 +1,13 @@
-//! Internal ordered-set primitive shared by the 2Q and ARC policies.
+//! Internal ordered-set primitive for the 2Q and ARC ghost queues.
 
 use crate::page::PageKey;
 use rb_simcore::fnv::FnvHashMap;
 use std::collections::BTreeMap;
 
 /// A set of page keys ordered by insertion/refresh recency.
+///
+/// Ghost pages have left the cache, so they have no page-table slot and
+/// are kept by key.
 ///
 /// Front = oldest (LRU end), back = newest (MRU end). All operations are
 /// O(log n) via a monotone stamp index.
@@ -16,10 +19,6 @@ pub(crate) struct OrderedSet {
 }
 
 impl OrderedSet {
-    pub(crate) fn new() -> Self {
-        OrderedSet::default()
-    }
-
     /// Inserts or refreshes `key` at the MRU end.
     pub(crate) fn push_back(&mut self, key: PageKey) {
         if let Some(old) = self.stamp_of.get(&key).copied() {
@@ -50,16 +49,8 @@ impl OrderedSet {
         }
     }
 
-    pub(crate) fn contains(&self, key: PageKey) -> bool {
-        self.stamp_of.contains_key(&key)
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.stamp_of.len()
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.stamp_of.is_empty()
     }
 }
 
@@ -73,7 +64,7 @@ mod tests {
 
     #[test]
     fn fifo_order_without_refresh() {
-        let mut s = OrderedSet::new();
+        let mut s = OrderedSet::default();
         for i in 0..5 {
             s.push_back(key(i));
         }
@@ -85,7 +76,7 @@ mod tests {
 
     #[test]
     fn refresh_moves_to_back() {
-        let mut s = OrderedSet::new();
+        let mut s = OrderedSet::default();
         s.push_back(key(0));
         s.push_back(key(1));
         s.push_back(key(0));
@@ -96,11 +87,10 @@ mod tests {
 
     #[test]
     fn remove_reports_presence() {
-        let mut s = OrderedSet::new();
+        let mut s = OrderedSet::default();
         s.push_back(key(7));
         assert!(s.remove(key(7)));
         assert!(!s.remove(key(7)));
-        assert!(s.is_empty());
-        assert!(!s.contains(key(7)));
+        assert_eq!(s.len(), 0);
     }
 }

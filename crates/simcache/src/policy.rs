@@ -8,41 +8,38 @@
 
 use crate::page::PageKey;
 
-/// A page replacement policy.
+/// A page replacement policy over the page cache's slots.
 ///
-/// The policy tracks page identities only; residency bookkeeping (which
-/// pages exist, dirty state) lives in the cache itself. Implementations
-/// must uphold two invariants, checked by the shared conformance tests:
+/// The cache owns residency: its page table maps each resident page to
+/// a slot (a small integer, reused once the page leaves), and the
+/// policy keeps only a replacement order over slots; ghost history of
+/// evicted pages, which have no slot, is all it may key by page.
+/// Implementations must uphold two invariants, checked by the shared
+/// conformance tests:
 ///
-/// 1. `evict` returns a page previously inserted and not yet evicted or
-///    removed (no phantom evictions).
-/// 2. After `insert(k)`, `contains(k)` holds until `k` is evicted or
-///    removed.
+/// 1. `evict` returns a slot that was inserted and has not since been
+///    evicted or removed (no phantom or double evictions).
+/// 2. Every inserted slot stays tracked until it is evicted or removed:
+///    evicting until `None` yields exactly the tracked slots.
 pub trait EvictionPolicy: std::fmt::Debug {
-    /// Notes that `key` was inserted (it was not resident).
-    fn insert(&mut self, key: PageKey);
+    /// Notes that `key` became resident in `slot`, which the policy
+    /// does not currently track.
+    fn insert(&mut self, slot: u32, key: PageKey);
 
-    /// Notes that a resident `key` was accessed.
-    fn touch(&mut self, key: PageKey);
+    /// Notes that the page in tracked `slot` was accessed.
+    fn touch(&mut self, slot: u32);
 
-    /// Chooses a victim and removes it from the policy's tracking.
-    ///
-    /// Returns `None` when no page is tracked.
-    fn evict(&mut self) -> Option<PageKey>;
+    /// Chooses a victim slot and stops tracking it (`None` when no slot
+    /// is tracked).
+    fn evict(&mut self) -> Option<u32>;
 
-    /// Removes `key` without treating it as an eviction (invalidation).
-    fn remove(&mut self, key: PageKey);
+    /// Stops tracking `slot` without treating it as an eviction
+    /// (invalidation).
+    fn remove(&mut self, slot: u32);
 
-    /// Returns true if the policy currently tracks `key`.
-    fn contains(&self, key: PageKey) -> bool;
-
-    /// Number of tracked pages.
-    fn len(&self) -> usize;
-
-    /// Returns true if no pages are tracked.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    /// Drops any ghost history of the non-resident page `key`
+    /// (invalidation). Policies without ghosts ignore it.
+    fn forget(&mut self, _key: PageKey) {}
 
     /// Policy name for reports.
     fn name(&self) -> &'static str;
@@ -97,96 +94,115 @@ pub(crate) mod conformance {
 
     use super::*;
     use rb_simcore::rng::Rng;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     fn key(i: u64) -> PageKey {
         PageKey::new(0, i)
     }
 
-    /// Inserted pages are visible until evicted/removed; evictions are
-    /// never phantom; len is consistent.
-    pub fn check_basic(policy: &mut dyn EvictionPolicy) {
-        assert!(policy.is_empty());
-        for i in 0..10 {
-            policy.insert(key(i));
-            assert!(
-                policy.contains(key(i)),
-                "{} lost fresh insert",
-                policy.name()
-            );
-        }
-        assert_eq!(policy.len(), 10);
-        let mut seen = HashSet::new();
-        while let Some(victim) = policy.evict() {
-            assert!(victim.page < 10, "{} phantom eviction", policy.name());
-            assert!(seen.insert(victim), "{} double eviction", policy.name());
-            assert!(!policy.contains(victim));
-        }
-        assert_eq!(seen.len(), 10);
-        assert!(policy.is_empty());
+    /// Evicts until `None`, returning the victims in order.
+    fn drain(policy: &mut dyn EvictionPolicy) -> Vec<u32> {
+        std::iter::from_fn(|| policy.evict()).collect()
     }
 
-    /// remove() never yields the removed page from a later evict().
+    /// Every inserted slot is evicted exactly once; evictions are never
+    /// phantom; an empty policy evicts nothing.
+    pub fn check_basic(policy: &mut dyn EvictionPolicy) {
+        assert_eq!(policy.evict(), None, "{} evicted from empty", policy.name());
+        // Slots need not be dense or match the key.
+        for i in 0..10 {
+            policy.insert(3 * i as u32 + 1, key(100 + i));
+        }
+        let mut seen = HashSet::new();
+        for victim in drain(policy) {
+            assert!(
+                victim % 3 == 1 && victim < 30,
+                "{} phantom eviction",
+                policy.name()
+            );
+            assert!(seen.insert(victim), "{} double eviction", policy.name());
+        }
+        assert_eq!(seen.len(), 10);
+        assert_eq!(policy.evict(), None);
+    }
+
+    /// remove() never yields the removed slot from a later evict().
     pub fn check_remove(policy: &mut dyn EvictionPolicy) {
         for i in 0..8 {
-            policy.insert(key(i));
+            policy.insert(i, key(u64::from(i)));
         }
-        policy.remove(key(3));
-        policy.remove(key(7));
-        assert!(!policy.contains(key(3)));
-        let mut evicted = HashSet::new();
-        while let Some(v) = policy.evict() {
-            evicted.insert(v.page);
-        }
+        policy.remove(3);
+        policy.remove(7);
+        let evicted: HashSet<u32> = drain(policy).into_iter().collect();
         assert!(
             !evicted.contains(&3),
-            "{} resurrected removed page",
+            "{} resurrected removed slot",
             policy.name()
         );
         assert!(!evicted.contains(&7));
         assert_eq!(evicted.len(), 6);
     }
 
-    /// Random mixed workload keeps policy bookkeeping consistent with a
-    /// model set.
+    /// A random mixed workload keeps the policy consistent with a model
+    /// of the tracked slots. Slots are recycled the way the page cache
+    /// recycles them, so a key returns in a different slot and a slot
+    /// returns holding a different key (ghost hits included).
     pub fn check_random_model(policy: &mut dyn EvictionPolicy, seed: u64) {
-        let mut model: HashSet<PageKey> = HashSet::new();
+        let mut model: HashMap<u32, PageKey> = HashMap::new();
+        let mut resident: HashSet<PageKey> = HashSet::new();
+        let mut free: Vec<u32> = Vec::new();
+        let mut next_slot = 0u32;
         let mut rng = Rng::new(seed);
         for step in 0..5000u64 {
             match rng.below(100) {
                 0..=49 => {
                     let k = key(rng.below(200));
-                    if !model.contains(&k) {
-                        policy.insert(k);
-                        model.insert(k);
+                    if resident.contains(&k) {
+                        let slot = model.iter().find(|(_, v)| **v == k).map(|(s, _)| *s);
+                        policy.touch(slot.expect("resident key has a slot"));
                     } else {
-                        policy.touch(k);
+                        let slot = free.pop().unwrap_or_else(|| {
+                            next_slot += 1;
+                            next_slot - 1
+                        });
+                        policy.insert(slot, k);
+                        model.insert(slot, k);
+                        resident.insert(k);
                     }
                 }
-                50..=69 => {
-                    if let Some(v) = policy.evict() {
-                        assert!(model.remove(&v), "phantom eviction at step {step}");
-                    } else {
-                        assert!(model.is_empty());
+                50..=69 => match policy.evict() {
+                    Some(v) => {
+                        let k = model.remove(&v);
+                        assert!(
+                            k.is_some(),
+                            "{} phantom eviction at step {step}",
+                            policy.name()
+                        );
+                        resident.remove(&k.unwrap());
+                        free.push(v);
                     }
-                }
+                    None => assert!(model.is_empty(), "{} lost slots", policy.name()),
+                },
                 70..=79 => {
                     let k = key(rng.below(200));
-                    policy.remove(k);
-                    model.remove(&k);
+                    match model.iter().find(|(_, v)| **v == k).map(|(s, _)| *s) {
+                        Some(slot) => {
+                            policy.remove(slot);
+                            model.remove(&slot);
+                            resident.remove(&k);
+                            free.push(slot);
+                        }
+                        None => policy.forget(k),
+                    }
                 }
-                _ => {
-                    let k = key(rng.below(200));
-                    assert_eq!(
-                        policy.contains(k),
-                        model.contains(&k),
-                        "{} membership diverged at step {step}",
-                        policy.name()
-                    );
-                }
+                _ => {}
             }
-            assert_eq!(policy.len(), model.len(), "len diverged at step {step}");
         }
+        let mut left = drain(policy);
+        left.sort_unstable();
+        let mut want: Vec<u32> = model.into_keys().collect();
+        want.sort_unstable();
+        assert_eq!(left, want, "{} tracked set diverged", policy.name());
     }
 }
 
@@ -197,8 +213,8 @@ mod tests {
     #[test]
     fn all_policies_buildable() {
         for kind in PolicyKind::ALL {
-            let p = kind.build(128);
-            assert_eq!(p.len(), 0);
+            let mut p = kind.build(128);
+            assert_eq!(p.evict(), None);
             assert_eq!(p.name(), kind.name());
         }
     }

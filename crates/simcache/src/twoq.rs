@@ -9,13 +9,24 @@
 use crate::olist::OrderedSet;
 use crate::page::PageKey;
 use crate::policy::EvictionPolicy;
+use crate::slots::{self, SlotLists};
+
+/// Probation queue (FIFO).
+const A1IN: usize = 0;
+/// Protected main queue (LRU).
+const AM: usize = 1;
 
 /// The 2Q policy.
+///
+/// The resident queues hold page-cache slots; only the A1out ghosts,
+/// which have no slot, are kept by page key.
 #[derive(Debug)]
 pub struct TwoQ {
-    a1in: OrderedSet,
+    /// A1in and Am.
+    queues: SlotLists<2>,
+    /// The page in each slot, for the ghost entry an eviction leaves.
+    keys: Vec<PageKey>,
     a1out: OrderedSet,
-    am: OrderedSet,
     /// Probation queue target size (Kin), in pages.
     kin: u64,
     /// Ghost queue size bound (Kout), in pages.
@@ -28,9 +39,9 @@ impl TwoQ {
     pub fn new(capacity_pages: u64) -> Self {
         let capacity = capacity_pages.max(4);
         TwoQ {
-            a1in: OrderedSet::new(),
-            a1out: OrderedSet::new(),
-            am: OrderedSet::new(),
+            queues: SlotLists::default(),
+            keys: Vec::new(),
+            a1out: OrderedSet::default(),
             kin: (capacity / 4).max(1),
             kout: (capacity / 2).max(1),
         }
@@ -44,61 +55,48 @@ impl TwoQ {
 
     /// Number of pages in the probation queue (test visibility).
     pub fn probation_len(&self) -> usize {
-        self.a1in.len()
+        self.queues.len(A1IN)
     }
 
     /// Number of pages in the protected queue (test visibility).
     pub fn protected_len(&self) -> usize {
-        self.am.len()
+        self.queues.len(AM)
     }
 }
 
 impl EvictionPolicy for TwoQ {
-    fn insert(&mut self, key: PageKey) {
-        if self.am.contains(key) {
-            self.am.push_back(key);
-        } else if self.a1in.contains(key) {
-            // Still on probation; FIFO order unchanged.
-        } else if self.a1out.remove(key) {
-            // Re-reference after probation: promote.
-            self.am.push_back(key);
-        } else {
-            self.a1in.push_back(key);
-        }
+    fn insert(&mut self, slot: u32, key: PageKey) {
+        *slots::at(&mut self.keys, slot, key) = key;
+        // A re-reference after probation promotes; a first sighting
+        // goes on probation.
+        let queue = if self.a1out.remove(key) { AM } else { A1IN };
+        self.queues.push_back(queue, slot);
     }
 
-    fn touch(&mut self, key: PageKey) {
-        if self.am.contains(key) {
-            self.am.push_back(key);
-        }
+    fn touch(&mut self, slot: u32) {
         // Hits in A1in deliberately do not reorder (2Q rule).
+        if self.queues.list_of(slot) == Some(AM) {
+            self.queues.move_to_back(AM, slot);
+        }
     }
 
-    fn evict(&mut self) -> Option<PageKey> {
-        let victim = if self.a1in.len() as u64 > self.kin || self.am.is_empty() {
-            let v = self.a1in.pop_front();
-            if let Some(k) = v {
-                self.a1out.push_back(k);
-                self.trim_ghost();
-            }
-            v
+    fn evict(&mut self) -> Option<u32> {
+        if self.queues.len(A1IN) as u64 > self.kin || self.queues.len(AM) == 0 {
+            let slot = self.queues.pop_front(A1IN)?;
+            self.a1out.push_back(self.keys[slot as usize]);
+            self.trim_ghost();
+            Some(slot)
         } else {
-            self.am.pop_front()
-        };
-        victim.or_else(|| self.a1in.pop_front())
+            self.queues.pop_front(AM)
+        }
     }
 
-    fn remove(&mut self, key: PageKey) {
-        let _ = self.a1in.remove(key) || self.am.remove(key);
+    fn remove(&mut self, slot: u32) {
+        self.queues.unlink(slot);
+    }
+
+    fn forget(&mut self, key: PageKey) {
         self.a1out.remove(key);
-    }
-
-    fn contains(&self, key: PageKey) -> bool {
-        self.a1in.contains(key) || self.am.contains(key)
-    }
-
-    fn len(&self) -> usize {
-        self.a1in.len() + self.am.len()
     }
 
     fn name(&self) -> &'static str {
@@ -117,7 +115,7 @@ mod tests {
     #[test]
     fn fresh_pages_go_to_probation() {
         let mut q = TwoQ::new(16);
-        q.insert(key(1));
+        q.insert(0, key(1));
         assert_eq!(q.probation_len(), 1);
         assert_eq!(q.protected_len(), 0);
     }
@@ -126,15 +124,27 @@ mod tests {
     fn ghost_hit_promotes() {
         let mut q = TwoQ::new(16); // kin = 4
         for i in 0..6 {
-            q.insert(key(i));
+            q.insert(i, key(u64::from(i)));
         }
         // Probation over-full: evictions drain A1in into the ghost list.
-        let v1 = q.evict().unwrap();
-        assert_eq!(v1, key(0));
-        // Key 0 is now a ghost; re-inserting it goes straight to Am.
-        q.insert(key(0));
+        assert_eq!(q.evict(), Some(0));
+        // Key 0 is now a ghost; re-inserting it (in any slot) goes
+        // straight to Am.
+        q.insert(9, key(0));
         assert_eq!(q.protected_len(), 1);
-        assert!(q.contains(key(0)));
+        assert_eq!(q.probation_len(), 5);
+    }
+
+    #[test]
+    fn forgotten_ghost_is_not_promoted() {
+        let mut q = TwoQ::new(16);
+        for i in 0..6 {
+            q.insert(i, key(u64::from(i)));
+        }
+        assert_eq!(q.evict(), Some(0));
+        q.forget(key(0));
+        q.insert(0, key(0));
+        assert_eq!(q.protected_len(), 0);
     }
 
     #[test]
@@ -142,39 +152,42 @@ mod tests {
         let mut q = TwoQ::new(16);
         // Build a hot set in Am via ghost promotion.
         for i in 0..8 {
-            q.insert(key(i));
+            q.insert(i, key(u64::from(i)));
         }
         for _ in 0..8 {
             q.evict();
         }
         for i in 0..4 {
-            q.insert(key(i)); // promoted from ghost to Am
+            q.insert(i, key(u64::from(i))); // promoted from ghost to Am
         }
         assert_eq!(q.protected_len(), 4);
         // A long one-touch scan floods probation only.
+        let mut evicted = Vec::new();
         for i in 100..130 {
-            q.insert(key(i));
-            if q.len() > 16 {
-                q.evict();
+            q.insert(i, key(u64::from(i)));
+            if q.probation_len() + q.protected_len() > 16 {
+                evicted.push(q.evict().unwrap());
             }
         }
         // The hot set survived the scan.
-        for i in 0..4 {
-            assert!(q.contains(key(i)), "hot page {i} flushed by scan");
-        }
+        assert_eq!(q.protected_len(), 4);
+        assert!(evicted.iter().all(|&s| s >= 100), "hot set flushed by scan");
     }
 
     #[test]
     fn evict_prefers_overfull_probation() {
         let mut q = TwoQ::new(8); // kin = 2
-        q.insert(key(10));
+        q.insert(10, key(10));
         q.evict(); // 10 -> ghost
-        q.insert(key(10)); // promote to Am
+        q.insert(10, key(10)); // promote to Am
         for i in 0..3 {
-            q.insert(key(i)); // probation now above kin
+            q.insert(i, key(u64::from(i))); // probation now above kin
         }
-        let v = q.evict().unwrap();
-        assert_eq!(v, key(0), "should drain probation before touching Am");
-        assert!(q.contains(key(10)));
+        assert_eq!(
+            q.evict(),
+            Some(0),
+            "should drain probation before touching Am"
+        );
+        assert_eq!(q.protected_len(), 1);
     }
 }

@@ -45,7 +45,7 @@ pub struct Writeback {
     /// identical to an ordered-map walk — ascending `(instant, key)` —
     /// without paying a tree rebalance on every `mark_dirty`/`clear`.
     by_age: BinaryHeap<Reverse<(Nanos, PageKey)>>,
-    /// Dirty-state probe map (`is_dirty` runs on every eviction).
+    /// Dirty-state probe map (`take` runs on every eviction).
     age_of: FnvHashMap<PageKey, Nanos>,
 }
 
@@ -65,11 +65,6 @@ impl Writeback {
         if self.by_age.len() > 2 * self.age_of.len() + 64 {
             self.by_age = self.age_of.iter().map(|(&k, &t)| Reverse((t, k))).collect();
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &WritebackConfig {
-        &self.config
     }
 
     /// Number of dirty pages.
@@ -136,15 +131,6 @@ impl Writeback {
         }
         self.maybe_compact();
         out
-    }
-
-    /// Drains every dirty page oldest-first (fsync / unmount semantics).
-    pub fn drain_all(&mut self) -> Vec<PageKey> {
-        let mut live: Vec<(Nanos, PageKey)> = self.age_of.iter().map(|(&k, &t)| (t, k)).collect();
-        live.sort_unstable();
-        self.by_age.clear();
-        self.age_of.clear();
-        live.into_iter().map(|(_, k)| k).collect()
     }
 }
 
@@ -219,16 +205,6 @@ mod tests {
         }
         let due = wb.take_due(Nanos::from_secs(100), 10);
         assert_eq!(due.len(), 3);
-    }
-
-    #[test]
-    fn drain_all_empties_in_age_order() {
-        let mut wb = Writeback::new(WritebackConfig::default());
-        wb.mark_dirty(key(2), Nanos::from_secs(2));
-        wb.mark_dirty(key(1), Nanos::from_secs(1));
-        let drained = wb.drain_all();
-        assert_eq!(drained, vec![key(1), key(2)]);
-        assert_eq!(wb.dirty_count(), 0);
     }
 
     #[test]
