@@ -1,9 +1,9 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
-//! I/O scheduler, allocator, and readahead — each swept while
-//! everything else is held fixed (the replacement-policy cost is the
-//! perfgate `layer/cache-*` scenarios). Criterion reports the
-//! simulation cost; the printed side-channel metrics (hit ratios, drain
-//! times) are the experimental result.
+//! I/O scheduler and readahead — each swept while everything else is
+//! held fixed (the replacement-policy and allocator costs are the
+//! perfgate `layer/cache-*` and `layer/alloc-*` scenarios). Criterion
+//! reports the simulation cost; the printed side-channel metrics (hit
+//! ratios, drain times) are the experimental result.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rb_simcache::cache::{CacheConfig, PageCache};
@@ -15,7 +15,6 @@ use rb_simcore::time::Nanos;
 use rb_simdisk::device::{BlockDevice, IoRequest};
 use rb_simdisk::hdd::{Hdd, HddConfig};
 use rb_simdisk::sched::{IoQueue, SchedPolicy};
-use rb_simfs::alloc::{BitmapAllocator, ExtentAllocator};
 
 /// Scheduler ablation: drain a 64-request scattered batch; prints the
 /// virtual completion time per policy.
@@ -54,52 +53,6 @@ fn bench_scheduler_ablation(c: &mut Criterion) {
             });
         });
     }
-    group.finish();
-}
-
-/// Allocator ablation: bitmap first-fit vs extent best-fit under churn;
-/// prints resulting fragmentation once.
-fn bench_allocator_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/allocator");
-    group.sample_size(20);
-    group.bench_function("bitmap_churn", |b| {
-        b.iter(|| {
-            let mut a = BitmapAllocator::new(65_536, 8_192);
-            let mut rng = Rng::new(9);
-            let mut live = Vec::new();
-            for _ in 0..400 {
-                if rng.chance(0.6) || live.is_empty() {
-                    if let Ok(runs) = a.alloc(rng.range(8, 128), rng.below(65_536)) {
-                        live.extend(runs);
-                    }
-                } else {
-                    let idx = rng.below(live.len() as u64) as usize;
-                    let run = live.swap_remove(idx);
-                    a.free(run).unwrap();
-                }
-            }
-            black_box(a.fragmentation(64))
-        });
-    });
-    group.bench_function("extent_churn", |b| {
-        b.iter(|| {
-            let mut a = ExtentAllocator::new(65_536);
-            let mut rng = Rng::new(9);
-            let mut live = Vec::new();
-            for _ in 0..400 {
-                if rng.chance(0.6) || live.is_empty() {
-                    if let Ok(runs) = a.alloc(rng.range(8, 128), rng.below(65_536)) {
-                        live.extend(runs);
-                    }
-                } else {
-                    let idx = rng.below(live.len() as u64) as usize;
-                    let run = live.swap_remove(idx);
-                    a.free(run).unwrap();
-                }
-            }
-            black_box(a.free_extents())
-        });
-    });
     group.finish();
 }
 
@@ -143,7 +96,6 @@ fn bench_readahead_ablation(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_scheduler_ablation,
-    bench_allocator_ablation,
     bench_readahead_ablation
 );
 criterion_main!(benches);

@@ -13,7 +13,9 @@
 //! no fault plan armed, under the same ≤2% budget) — plus four
 //! per-layer scenarios that time the page cache alone under each
 //! replacement policy (`layer/cache-{lru,clock,2q,arc}`, a fixed
-//! mixed hit/miss/evict read loop), over N repetitions, and writes a
+//! mixed hit/miss/evict read loop) and two that time each block
+//! allocator alone (`layer/alloc-{bitmap,extent}`, a fixed 60/40
+//! alloc/free churn), over N repetitions, and writes a
 //! JSON (`BENCH_PR<n>.json`) with median + IQR wall time, throughput
 //! in scenario work units per second, host ns per work unit, and peak
 //! RSS (from `/proc/self/status` where available).
@@ -62,10 +64,12 @@ use rb_simcache::policy::PolicyKind;
 use rb_simcache::readahead::ReadaheadConfig;
 use rb_simcache::writeback::WritebackConfig;
 use rb_simcore::dist::Zipf;
+use rb_simcore::error::SimResult;
 use rb_simcore::events::EventQueue;
 use rb_simcore::rng::Rng;
 use rb_simcore::time::Nanos;
 use rb_simcore::units::Bytes;
+use rb_simfs::alloc::{BitmapAllocator, ExtentAllocator, Run};
 use std::time::Instant;
 
 /// One timed scenario: a name, a unit label, and a closure running the
@@ -198,7 +202,7 @@ fn scaled_golden() -> Trace {
 
 /// Scenario names, in run order (the parent dispatches children by
 /// name without constructing the scenarios themselves).
-const SCENARIO_NAMES: [&str; 13] = [
+const SCENARIO_NAMES: [&str; 15] = [
     "fig1-quick",
     "sweep-4x4",
     "replay-x32",
@@ -212,6 +216,8 @@ const SCENARIO_NAMES: [&str; 13] = [
     "layer/cache-clock",
     "layer/cache-2q",
     "layer/cache-arc",
+    "layer/alloc-bitmap",
+    "layer/alloc-extent",
 ];
 
 /// The warm pass of `sweep-warm` must be at least this many times
@@ -268,7 +274,50 @@ fn cache_layer(name: &'static str, policy: PolicyKind, reads: u64) -> Scenario {
     }
 }
 
-/// The nine end-to-end scenarios and the four per-layer ones.
+/// Blocks of the allocator each `layer/alloc-*` round starts fresh.
+const ALLOC_BLOCKS: u64 = 65_536;
+
+/// A per-layer block-allocator scenario: `rounds` rounds of churn on a
+/// fresh `ALLOC_BLOCKS`-block allocator, 400 seeded steps each: 60% allocate
+/// 8-127 blocks near a random goal, 40% free a random live run. The
+/// work unit is an alloc call, so the JSON's `ns_per_unit` is the
+/// allocator's host ns per call (the frees ride along).
+fn alloc_layer<A: 'static>(
+    name: &'static str,
+    rounds: u64,
+    new: fn() -> A,
+    alloc: fn(&mut A, u64, u64) -> SimResult<Vec<Run>>,
+    free: fn(&mut A, Run) -> SimResult<()>,
+) -> Scenario {
+    Scenario {
+        name,
+        unit: "allocs",
+        run: Box::new(move || {
+            let mut rng = Rng::new(9);
+            let (mut allocs, mut frees) = (0u64, 0u64);
+            for _ in 0..rounds {
+                let mut a = new();
+                let mut live = Vec::new();
+                for _ in 0..400 {
+                    if rng.chance(0.6) || live.is_empty() {
+                        let runs = alloc(&mut a, rng.range(8, 128), rng.below(ALLOC_BLOCKS));
+                        live.extend(runs.expect("the churn never fills the allocator"));
+                        allocs += 1;
+                    } else {
+                        let run = live.swap_remove(rng.below(live.len() as u64) as usize);
+                        free(&mut a, run).expect("live runs free once");
+                        frees += 1;
+                    }
+                }
+                std::hint::black_box(&live);
+            }
+            assert!(allocs > frees && frees > 0, "{name}: not a churn");
+            allocs
+        }),
+    }
+}
+
+/// The nine end-to-end scenarios and the six per-layer ones.
 fn scenarios(quick: bool) -> Vec<Scenario> {
     // Scenario 1: the quick Figure 1 campaign (single worker so the
     // measurement is a plain single-thread workload).
@@ -576,6 +625,8 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
     };
     // Scenarios 10-13: the page cache alone, one per policy.
     let reads: u64 = if quick { 100_000 } else { 500_000 };
+    // Scenarios 14-15: the block allocators alone.
+    let rounds: u64 = if quick { 400 } else { 2_000 };
     vec![
         fig1,
         sweep,
@@ -590,6 +641,20 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
         cache_layer("layer/cache-clock", PolicyKind::Clock, reads),
         cache_layer("layer/cache-2q", PolicyKind::TwoQ, reads),
         cache_layer("layer/cache-arc", PolicyKind::Arc, reads),
+        alloc_layer(
+            "layer/alloc-bitmap",
+            rounds,
+            || BitmapAllocator::new(ALLOC_BLOCKS, 8_192),
+            BitmapAllocator::alloc,
+            BitmapAllocator::free,
+        ),
+        alloc_layer(
+            "layer/alloc-extent",
+            rounds,
+            || ExtentAllocator::new(ALLOC_BLOCKS),
+            ExtentAllocator::alloc,
+            ExtentAllocator::free,
+        ),
     ]
 }
 

@@ -7,6 +7,7 @@
 //! which dirty pages an eviction pushes out. The storage stack translates
 //! those page lists into device I/O and latency.
 
+use crate::index::PageIndex;
 use crate::page::{CacheStats, FileId, PageKey};
 use crate::policy::{EvictionPolicy, PolicyKind};
 use crate::readahead::{Readahead, ReadaheadConfig};
@@ -100,12 +101,13 @@ pub struct PageCache {
     config: CacheConfig,
     policy: Box<dyn EvictionPolicy>,
     // The page table: one slot of `pages` per resident page, and
-    // `index`, the only key → slot map (FNV-keyed, see
-    // `rb_simcore::fnv`). The policy and the per-file chains speak in
-    // slots, so a page access costs one probe, not one per structure.
+    // `index`, which finds a page's slot with one probe of its 64-page
+    // chunk (see `crate::index`). The policy and the per-file chains
+    // speak in slots, so a page access costs that one probe, not one
+    // per structure.
     pages: Vec<Page>,
     free: Vec<u32>,
-    index: FnvHashMap<PageKey, u32>,
+    index: PageIndex,
     // Head of each file's chain through `pages`, so fsync and
     // invalidate_file touch only the file's own pages. Chains are
     // unordered; `fsync` sorts, `invalidate_file` does not care.
@@ -125,7 +127,7 @@ impl PageCache {
             policy,
             pages: Vec::new(),
             free: Vec::new(),
-            index: FnvHashMap::default(),
+            index: PageIndex::default(),
             by_file: FnvHashMap::default(),
             readahead: FnvHashMap::default(),
             writeback,
@@ -160,7 +162,7 @@ impl PageCache {
 
     /// Returns true if the page is resident.
     pub fn is_resident(&self, file: FileId, page: PageNo) -> bool {
-        self.index.contains_key(&PageKey::new(file, page))
+        self.index.get(PageKey::new(file, page)).is_some()
     }
 
     /// Resizes the cache (models OS memory pressure / per-run jitter).
@@ -178,7 +180,7 @@ impl PageCache {
         let Page {
             key, prev, next, ..
         } = self.pages[slot as usize];
-        self.index.remove(&key);
+        self.index.remove(key);
         if next != NIL {
             self.pages[next as usize].prev = prev;
         }
@@ -263,7 +265,7 @@ impl PageCache {
         for page in first..first + count {
             let key = PageKey::new(file, page);
             // `get`, not `entry`: the hit path stays one plain probe.
-            if let Some(&slot) = self.index.get(&key) {
+            if let Some(slot) = self.index.get(key) {
                 self.stats.hits += 1;
                 out.hit_pages += 1;
                 let resident = &mut self.pages[slot as usize];
@@ -288,7 +290,7 @@ impl PageCache {
         let ra_end = (ra_start + window).min(file_pages);
         for page in ra_start..ra_end {
             let key = PageKey::new(file, page);
-            if !self.index.contains_key(&key) {
+            if self.index.get(key).is_none() {
                 out.prefetch_pages.push(page);
                 self.insert_absent(key, true);
             }
@@ -301,7 +303,7 @@ impl PageCache {
     /// any dirty pages evicted to make room.
     pub fn insert_clean(&mut self, file: FileId, page: PageNo) -> Vec<PageKey> {
         let key = PageKey::new(file, page);
-        if !self.index.contains_key(&key) {
+        if self.index.get(key).is_none() {
             self.insert_absent(key, false);
         }
         self.evict_to_capacity()
@@ -314,7 +316,7 @@ impl PageCache {
     pub fn write(&mut self, file: FileId, first: PageNo, count: u64, now: Nanos) -> WriteOutcome {
         for page in first..first + count {
             let key = PageKey::new(file, page);
-            if let Some(&slot) = self.index.get(&key) {
+            if let Some(slot) = self.index.get(key) {
                 self.policy.touch(slot);
             } else {
                 self.insert_absent(key, false);
@@ -356,8 +358,8 @@ impl PageCache {
     /// data — the inserted page must not masquerade as a future hit).
     pub fn invalidate_page(&mut self, file: FileId, page: PageNo) {
         let key = PageKey::new(file, page);
-        match self.index.get(&key) {
-            Some(&slot) => {
+        match self.index.get(key) {
+            Some(slot) => {
                 self.policy.remove(slot);
                 self.release(slot);
             }
@@ -373,7 +375,7 @@ impl PageCache {
         let mut slot = self.by_file.remove(&file).unwrap_or(NIL);
         while slot != NIL {
             let Page { key, next, .. } = self.pages[slot as usize];
-            self.index.remove(&key);
+            self.index.remove(key);
             self.policy.remove(slot);
             self.writeback.clear(key);
             self.free.push(slot);
@@ -384,10 +386,10 @@ impl PageCache {
 
     /// Drops every page in the cache (drop_caches).
     pub fn invalidate_all(&mut self) {
-        for (key, slot) in self.index.drain() {
+        self.index.drain(|key, slot| {
             self.policy.remove(slot);
             self.writeback.clear(key);
-        }
+        });
         self.pages.clear();
         self.free.clear();
         self.by_file.clear();

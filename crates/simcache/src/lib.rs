@@ -4,9 +4,11 @@
 //! pluggable replacement (LRU, CLOCK, 2Q, ARC), Linux-style sequential
 //! readahead, and dirty-page writeback.
 //!
-//! Residency is one page table: a slab of resident pages behind a single
-//! `PageKey → slot` map. The replacement policies ([`policy`]) and the
-//! per-file page chains work on slots, so a page access costs one probe.
+//! Residency is one page table: a slab of resident pages behind one
+//! index that maps a page to its slot through its 64-page chunk, like
+//! the nodes of Linux's per-inode page-cache xarray. The replacement
+//! policies ([`policy`]) and the per-file page chains work on slots, so
+//! a page access costs one probe.
 //!
 //! The paper's central case study is *entirely* a cache story: the
 //! Figure 1 cliff is the file size crossing cache capacity, the fragile
@@ -32,6 +34,7 @@
 pub mod arc;
 pub mod cache;
 pub mod clock;
+mod index;
 pub mod lru;
 mod olist;
 pub mod page;

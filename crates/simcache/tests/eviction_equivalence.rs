@@ -1,5 +1,10 @@
-//! Eviction equivalence: one seeded random mix of every `PageCache`
+//! Eviction equivalence: seeded random mixes of every `PageCache`
 //! operation per replacement policy, digested.
+//!
+//! Two mixes run: a dense one (six files of 96 pages) and a sparse one
+//! shaped like the storage stack's metadata stream (one file keyed by
+//! raw block numbers spread over 2^26 blocks), whose pages rarely share
+//! a 64-page chunk of the page index.
 //!
 //! The digest covers every outcome list the cache hands back (demand
 //! misses, prefetches, eviction writebacks, fsync and background flush
@@ -90,6 +95,132 @@ struct Counted {
     flushed: u64,
 }
 
+/// One cache under a seeded mix: every call's outcome goes into the
+/// digest and the counts, and `end_step` checks the invariants.
+struct Mix {
+    kind: PolicyKind,
+    cache: PageCache,
+    digest: Digest,
+    counted: Counted,
+}
+
+impl Mix {
+    fn new(kind: PolicyKind, capacity_pages: u64) -> Self {
+        Mix {
+            kind,
+            cache: PageCache::new(CacheConfig {
+                capacity_pages,
+                policy: kind,
+                readahead: ReadaheadConfig::default(),
+                writeback: WritebackConfig::default(),
+            }),
+            digest: Digest(FNV_OFFSET),
+            counted: Counted::default(),
+        }
+    }
+
+    fn read(&mut self, file: u64, first: u64, count: u64, file_pages: u64, now: Nanos) {
+        let out = self.cache.read(file, first, count, file_pages, now);
+        self.counted.hits += out.hit_pages;
+        self.counted.misses += out.miss_pages.len() as u64;
+        self.counted.prefetched += out.prefetch_pages.len() as u64;
+        self.counted.evicted_dirty += out.writeback_pages.len() as u64;
+        self.digest.word(out.hit_pages);
+        self.digest.pages(1, &out.miss_pages);
+        self.digest.pages(2, &out.prefetch_pages);
+        self.digest.keys(3, &out.writeback_pages);
+    }
+
+    fn write(&mut self, file: u64, first: u64, count: u64, now: Nanos) {
+        let out = self.cache.write(file, first, count, now);
+        self.counted.evicted_dirty += out.writeback_pages.len() as u64;
+        self.digest.keys(4, &out.writeback_pages);
+    }
+
+    fn insert_clean(&mut self, file: u64, page: u64) {
+        let dirty = self.cache.insert_clean(file, page);
+        self.counted.evicted_dirty += dirty.len() as u64;
+        self.digest.keys(5, &dirty);
+    }
+
+    fn fsync(&mut self, file: u64, step: u32) {
+        let name = self.kind.name();
+        let dirty_before = self.cache.dirty_pages();
+        let flushed = self.cache.fsync(file);
+        assert!(
+            flushed.iter().all(|k| k.file == file),
+            "{name} step {step}: fsync({file}) returned another file's page"
+        );
+        assert!(
+            flushed.windows(2).all(|w| w[0] < w[1]),
+            "{name} step {step}: fsync result not sorted"
+        );
+        assert_eq!(
+            dirty_before - self.cache.dirty_pages(),
+            flushed.len() as u64,
+            "{name} step {step}: fsync returned a clean page"
+        );
+        self.counted.flushed += flushed.len() as u64;
+        self.digest.keys(6, &flushed);
+    }
+
+    fn flush_due(&mut self, now: Nanos) {
+        let due = self.cache.take_writeback_due(now);
+        self.counted.flushed += due.len() as u64;
+        self.digest.keys(7, &due);
+    }
+
+    fn invalidate_page(&mut self, file: u64, page: u64) {
+        self.digest.word(8);
+        self.digest
+            .word(u64::from(self.cache.is_resident(file, page)));
+        self.cache.invalidate_page(file, page);
+        assert!(!self.cache.is_resident(file, page));
+    }
+
+    fn set_capacity(&mut self, pages: u64) {
+        let dirty = self.cache.set_capacity_pages(pages);
+        self.counted.evicted_dirty += dirty.len() as u64;
+        self.digest.keys(10, &dirty);
+    }
+
+    fn invalidate_all(&mut self) {
+        self.cache.invalidate_all();
+        assert_eq!(self.cache.resident_pages(), 0);
+        assert_eq!(self.cache.dirty_pages(), 0);
+    }
+
+    fn end_step(&mut self, step: u32) {
+        let (name, cache, c) = (self.kind.name(), &self.cache, &self.counted);
+        assert!(
+            cache.resident_pages() <= cache.capacity_pages(),
+            "{name} step {step}: {} resident over capacity {}",
+            cache.resident_pages(),
+            cache.capacity_pages()
+        );
+        assert!(cache.dirty_pages() <= cache.resident_pages());
+        let s = cache.stats();
+        assert_eq!(
+            (
+                s.hits,
+                s.misses,
+                s.prefetched,
+                s.evicted_dirty,
+                s.writeback_flushed
+            ),
+            (c.hits, c.misses, c.prefetched, c.evicted_dirty, c.flushed),
+            "{name} step {step}: stats disagree with the counted outcomes"
+        );
+        self.digest.word(cache.resident_pages());
+        self.digest.word(cache.dirty_pages());
+    }
+
+    fn finish(mut self) -> u64 {
+        self.digest.stats(&self.cache.stats());
+        self.digest.0
+    }
+}
+
 /// A page biased towards each file's hot head, so every policy sees
 /// re-references, ghost hits and cold scans.
 fn page(rng: &mut Rng) -> u64 {
@@ -101,15 +232,8 @@ fn page(rng: &mut Rng) -> u64 {
 }
 
 fn run_mix(kind: PolicyKind, seed: u64) -> u64 {
-    let mut cache = PageCache::new(CacheConfig {
-        capacity_pages: 64,
-        policy: kind,
-        readahead: ReadaheadConfig::default(),
-        writeback: WritebackConfig::default(),
-    });
+    let mut mix = Mix::new(kind, 64);
     let mut rng = Rng::new(seed);
-    let mut digest = Digest(FNV_OFFSET);
-    let mut counted = Counted::default();
     let mut cursor = [0u64; FILES as usize];
     let mut now = Nanos::ZERO;
     for step in 0..STEPS {
@@ -125,126 +249,108 @@ fn run_mix(kind: PolicyKind, seed: u64) -> u64 {
                     page(&mut rng)
                 };
                 let count = rng.range(1, 5);
-                let out = cache.read(file, first, count, FILE_PAGES, now);
+                mix.read(file, first, count, FILE_PAGES, now);
                 cursor[file as usize] = (first + count) % FILE_PAGES;
-                counted.hits += out.hit_pages;
-                counted.misses += out.miss_pages.len() as u64;
-                counted.prefetched += out.prefetch_pages.len() as u64;
-                counted.evicted_dirty += out.writeback_pages.len() as u64;
-                digest.word(out.hit_pages);
-                digest.pages(1, &out.miss_pages);
-                digest.pages(2, &out.prefetch_pages);
-                digest.keys(3, &out.writeback_pages);
             }
             45..=64 => {
-                let out = cache.write(file, page(&mut rng), rng.range(1, 4), now);
-                counted.evicted_dirty += out.writeback_pages.len() as u64;
-                digest.keys(4, &out.writeback_pages);
+                let first = page(&mut rng);
+                mix.write(file, first, rng.range(1, 4), now);
             }
-            65..=71 => {
-                let dirty = cache.insert_clean(file, page(&mut rng));
-                counted.evicted_dirty += dirty.len() as u64;
-                digest.keys(5, &dirty);
-            }
-            72..=77 => {
-                let dirty_before = cache.dirty_pages();
-                let flushed = cache.fsync(file);
-                assert!(
-                    flushed.iter().all(|k| k.file == file),
-                    "{} step {step}: fsync({file}) returned another file's page",
-                    kind.name()
-                );
-                assert!(
-                    flushed.windows(2).all(|w| w[0] < w[1]),
-                    "{} step {step}: fsync result not sorted",
-                    kind.name()
-                );
-                assert_eq!(
-                    dirty_before - cache.dirty_pages(),
-                    flushed.len() as u64,
-                    "{} step {step}: fsync returned a clean page",
-                    kind.name()
-                );
-                counted.flushed += flushed.len() as u64;
-                digest.keys(6, &flushed);
-            }
-            78..=83 => {
-                let due = cache.take_writeback_due(now);
-                counted.flushed += due.len() as u64;
-                digest.keys(7, &due);
-            }
-            84..=88 => {
-                let p = page(&mut rng);
-                digest.word(8);
-                digest.word(u64::from(cache.is_resident(file, p)));
-                cache.invalidate_page(file, p);
-                assert!(!cache.is_resident(file, p));
-            }
+            65..=71 => mix.insert_clean(file, page(&mut rng)),
+            72..=77 => mix.fsync(file, step),
+            78..=83 => mix.flush_due(now),
+            84..=88 => mix.invalidate_page(file, page(&mut rng)),
             89..=91 => {
-                cache.invalidate_file(file);
-                digest.word(9);
-                assert!((0..FILE_PAGES).all(|p| !cache.is_resident(file, p)));
+                mix.cache.invalidate_file(file);
+                mix.digest.word(9);
+                assert!((0..FILE_PAGES).all(|p| !mix.cache.is_resident(file, p)));
             }
-            92..=98 => {
-                // Shrink or grow around the starting capacity.
-                let dirty = cache.set_capacity_pages(rng.range(16, 129));
-                counted.evicted_dirty += dirty.len() as u64;
-                digest.keys(10, &dirty);
-            }
+            // Shrink or grow around the starting capacity.
+            92..=98 => mix.set_capacity(rng.range(16, 129)),
             _ => {
                 if rng.chance(0.2) {
-                    cache.invalidate_all();
-                    assert_eq!(cache.resident_pages(), 0);
-                    assert_eq!(cache.dirty_pages(), 0);
+                    mix.invalidate_all();
                 }
-                digest.word(11);
+                mix.digest.word(11);
             }
         }
-        assert!(
-            cache.resident_pages() <= cache.capacity_pages(),
-            "{} step {step}: {} resident over capacity {}",
-            kind.name(),
-            cache.resident_pages(),
-            cache.capacity_pages()
-        );
-        assert!(cache.dirty_pages() <= cache.resident_pages());
-        let s = cache.stats();
-        assert_eq!(
-            (
-                s.hits,
-                s.misses,
-                s.prefetched,
-                s.evicted_dirty,
-                s.writeback_flushed
-            ),
-            (
-                counted.hits,
-                counted.misses,
-                counted.prefetched,
-                counted.evicted_dirty,
-                counted.flushed
-            ),
-            "{} step {step}: stats disagree with the counted outcomes",
-            kind.name()
-        );
-        digest.word(cache.resident_pages());
-        digest.word(cache.dirty_pages());
+        mix.end_step(step);
     }
-    digest.stats(&cache.stats());
-    digest.0
+    mix.finish()
 }
 
-#[test]
-fn every_policy_keeps_its_pinned_eviction_digest() {
-    let pinned = [
-        (PolicyKind::Lru, 0x5daa_80a0_2876_d2b8),
-        (PolicyKind::Clock, 0x1d2e_f945_f78a_44ef),
-        (PolicyKind::TwoQ, 0xede2_1816_c568_0f59),
-        (PolicyKind::Arc, 0x9d6a_664c_c497_b0ff),
-    ];
+/// The metadata stream's file id: the storage stack caches metadata
+/// under this one file, keyed by raw disk block number.
+const META: u64 = u64::MAX;
+/// Block numbers of the sparse mix lie below this (a 256 GiB device of
+/// 4 KiB blocks).
+const BLOCKS: u64 = 1 << 26;
+
+/// A metadata-shaped key space: single-page reads and writes of
+/// `META` at block numbers spread over `BLOCKS`. Most land near one of
+/// a few cluster bases (block-group headers, inode tables, directory
+/// blocks), half of those in each cluster's hot head; some walk on from
+/// the last block so readahead crosses 64-page boundaries; the rest are
+/// anywhere. A small data file shares
+/// the same page numbers. Invalidations mostly miss, and the cache is
+/// dropped whole now and then and refilled.
+fn run_sparse(kind: PolicyKind, seed: u64) -> u64 {
+    let mut mix = Mix::new(kind, 96);
+    let mut rng = Rng::new(seed);
+    let bases: Vec<u64> = (0..12).map(|_| rng.below(BLOCKS - 256)).collect();
+    let mut last = 0u64;
+    let mut now = Nanos::ZERO;
+    for step in 0..STEPS {
+        now += Nanos::from_millis(rng.below(400));
+        let file = if rng.chance(0.9) { META } else { 7 };
+        let block = match rng.below(10) {
+            0..=5 => {
+                let base = bases[rng.below(bases.len() as u64) as usize];
+                base + if rng.chance(0.5) {
+                    rng.below(16)
+                } else {
+                    rng.below(200)
+                }
+            }
+            6..=7 => (last + 1) % BLOCKS,
+            8 => [0, 63, 64, BLOCKS - 1][rng.below(4) as usize],
+            _ => rng.below(BLOCKS),
+        };
+        last = block;
+        match rng.below(100) {
+            0..=44 => mix.read(file, block, 1, u64::MAX, now),
+            45..=69 => mix.write(file, block, 1, now),
+            70..=74 => mix.insert_clean(file, block),
+            75..=78 => mix.fsync(file, step),
+            79..=82 => mix.flush_due(now),
+            83..=90 => {
+                // Mostly a block that is not resident.
+                let p = if rng.chance(0.7) {
+                    rng.below(BLOCKS)
+                } else {
+                    block
+                };
+                mix.invalidate_page(file, p);
+            }
+            91..=97 => mix.set_capacity(rng.range(32, 193)),
+            _ => {
+                if rng.chance(0.1) {
+                    mix.invalidate_all();
+                }
+                mix.digest.word(11);
+            }
+        }
+        mix.end_step(step);
+    }
+    mix.finish()
+}
+
+/// Runs `run` for every policy and compares each digest with its pin.
+/// Both mixes' pins were computed before the page index was chunked.
+fn assert_pinned(pinned: [(PolicyKind, u64); 4], run: fn(PolicyKind, u64) -> u64) {
     let got: Vec<(PolicyKind, u64)> = pinned
         .iter()
-        .map(|&(kind, _)| (kind, run_mix(kind, 0x5EED_CAC4E)))
+        .map(|&(kind, _)| (kind, run(kind, 0x5EED_CAC4E)))
         .collect();
     for (&(kind, want), &(_, digest)) in pinned.iter().zip(&got) {
         assert_eq!(
@@ -255,4 +361,30 @@ fn every_policy_keeps_its_pinned_eviction_digest() {
             got.iter().map(|(_, d)| *d).collect::<Vec<_>>()
         );
     }
+}
+
+#[test]
+fn every_policy_keeps_its_pinned_eviction_digest() {
+    assert_pinned(
+        [
+            (PolicyKind::Lru, 0x5daa_80a0_2876_d2b8),
+            (PolicyKind::Clock, 0x1d2e_f945_f78a_44ef),
+            (PolicyKind::TwoQ, 0xede2_1816_c568_0f59),
+            (PolicyKind::Arc, 0x9d6a_664c_c497_b0ff),
+        ],
+        run_mix,
+    );
+}
+
+#[test]
+fn every_policy_keeps_its_pinned_sparse_key_digest() {
+    assert_pinned(
+        [
+            (PolicyKind::Lru, 0x809f_9a56_2dac_becc),
+            (PolicyKind::Clock, 0x0ea8_12f1_220d_f50f),
+            (PolicyKind::TwoQ, 0x1488_921b_8a47_0885),
+            (PolicyKind::Arc, 0x96ac_8319_bcdf_3434),
+        ],
+        run_sparse,
+    );
 }

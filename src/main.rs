@@ -20,23 +20,36 @@ use std::process::ExitCode;
 #[derive(Debug, Default)]
 struct Opts {
     flags: std::collections::HashMap<String, String>,
+    /// `--help` (or `-h`) stood in a flag's place.
+    help: bool,
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, String> {
-        let mut flags = std::collections::HashMap::new();
+    /// Parses `--flag value` pairs, accepting only the flags in `known`
+    /// (a subcommand's usage) and each at most once.
+    fn parse(args: &[String], known: &[&str]) -> Result<Opts, String> {
+        let mut opts = Opts::default();
         let mut it = args.iter();
         while let Some(a) = it.next() {
+            if a == "--help" || a == "-h" {
+                opts.help = true;
+                continue;
+            }
             let Some(name) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument {a:?}"));
             };
+            if !known.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
+            }
             let value = it
                 .next()
                 .ok_or_else(|| format!("--{name} needs a value"))?
                 .clone();
-            flags.insert(name.to_string(), value);
+            if opts.flags.insert(name.to_string(), value).is_some() {
+                return Err(format!("--{name} given twice"));
+            }
         }
-        Ok(Opts { flags })
+        Ok(opts)
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -53,10 +66,12 @@ fn parse_size(s: &str) -> Result<Bytes, String> {
         Some('G') | Some('g') => (&s[..s.len() - 1], 1024 * 1024 * 1024),
         _ => (s, 1),
     };
-    digits
+    let n = digits
         .parse::<u64>()
-        .map(|n| Bytes::new(n * mult))
-        .map_err(|e| format!("bad size {s:?}: {e}"))
+        .map_err(|e| format!("bad size {s:?}: {e}"))?;
+    n.checked_mul(mult)
+        .map(Bytes::new)
+        .ok_or_else(|| format!("size {s:?} is too large"))
 }
 
 /// Builds the flight-recorder configuration from `--metrics true`,
@@ -114,10 +129,23 @@ fn parse_duration(s: &str) -> Result<Nanos, String> {
         Some('m') => (&s[..s.len() - 1], 60),
         _ => (s, 1),
     };
-    digits
+    let n = digits
         .parse::<u64>()
-        .map(|n| Nanos::from_secs(n * mult))
-        .map_err(|e| format!("bad duration {s:?}: {e}"))
+        .map_err(|e| format!("bad duration {s:?}: {e}"))?;
+    // Whole nanoseconds must fit, or the run would never end.
+    n.checked_mul(mult)
+        .filter(|secs| secs.checked_mul(1_000_000_000).is_some())
+        .map(Nanos::from_secs)
+        .ok_or_else(|| format!("duration {s:?} is too long"))
+}
+
+/// The simulated device for a file set of `size`: three times its size,
+/// at least 1 GiB.
+fn device_for(size: Bytes) -> Result<Bytes, String> {
+    size.as_u64()
+        .checked_mul(3)
+        .map(|b| Bytes::new(b.max(Bytes::gib(1).as_u64())))
+        .ok_or_else(|| format!("size {size} is too large for the simulated device"))
 }
 
 /// Builds a target from `sim:ext2` / `sim:ext3` / `sim:xfs` /
@@ -166,7 +194,7 @@ fn cmd_bench(opts: &Opts) -> Result<(), String> {
         .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
         .transpose()?
         .unwrap_or(0);
-    let device = Bytes::new((size.as_u64() * 3).max(Bytes::gib(1).as_u64()));
+    let device = device_for(size)?;
 
     let arrival = match opts.get("arrival") {
         Some(a) => Arrival::parse(a).map_err(|e| format!("--arrival: {e}"))?,
@@ -561,7 +589,7 @@ fn cmd_explain(opts: &Opts) -> Result<(), String> {
         Some(a) => Arrival::parse(a).map_err(|e| format!("--arrival: {e}"))?,
         None => Arrival::Closed,
     };
-    let device = Bytes::new((size.as_u64() * 3).max(Bytes::gib(1).as_u64()));
+    let device = device_for(size)?;
     let mut target = make_target(target_spec, device, seed)?;
     let workload = make_workload(workload_name, size, files)?;
     let config = EngineConfig {
@@ -619,133 +647,269 @@ fn cmd_table1() -> Result<(), String> {
     Ok(())
 }
 
+/// Dispatches `trace SUB` through [`TRACE_COMMANDS`].
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let sub = args.first().map(String::as_str).unwrap_or("");
-    let opts = Opts::parse(&args[1.min(args.len())..])?;
-    match sub {
-        "record" => {
-            let out = opts.get("out").ok_or("trace record needs --out FILE")?;
-            let workload_name = opts.get("workload").unwrap_or("varmail");
-            let size = parse_size(opts.get("size").unwrap_or("8M"))?;
-            let duration = parse_duration(opts.get("duration").unwrap_or("5s"))?;
-            let workload = make_workload(workload_name, size, 25)?;
-            let mut target = rb_core::testbed::paper_ext2(Bytes::gib(1), 0);
-            let mut recorder = Recorder::new(&mut target);
-            let config = EngineConfig {
-                duration,
-                window: Nanos::from_secs(1),
-                seed: 0,
-                cold_start: false,
-                prewarm: false,
-                ..Default::default()
-            };
-            Engine::run(&mut recorder, &workload, &config).map_err(|e| e.to_string())?;
-            let trace = recorder.finish();
-            let text = trace.to_text().map_err(|e| e.to_string())?;
-            std::fs::write(out, text).map_err(|e| e.to_string())?;
-            println!(
-                "recorded {} ops ({}) to {out}",
-                trace.len(),
-                trace.version.label()
-            );
-            Ok(())
-        }
-        "replay" => {
-            let input = opts.get("in").ok_or("trace replay needs --in FILE")?;
-            let target_spec = opts.get("target").unwrap_or("sim:ext2");
-            let timing = match opts.get("timing") {
-                Some(t) => Timing::parse(t).map_err(|e| format!("--timing: {e}"))?,
-                None => Timing::Afap,
-            };
-            let seed = opts
-                .get("seed")
-                .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
-                .transpose()?
-                .unwrap_or(0);
-            let text = std::fs::read_to_string(input).map_err(|e| e.to_string())?;
-            let trace = Trace::from_text(&text).map_err(|e| e.to_string())?;
-            let mut target = make_target(target_spec, Bytes::gib(1), 0)?;
-            let result = replay_with(target.as_mut(), &trace, &ReplayConfig { timing, seed });
-            println!(
-                "replayed {} ops ({} errors) in {} on {}",
-                result.ops,
-                result.errors,
-                result.duration,
-                target.name()
-            );
-            // A failing replay must fail the command: the summary above
-            // is printed either way, but CI scripting needs the exit
-            // code — and the operator needs to know *what* failed first.
-            match result.first_error {
-                Some(first) if result.errors > 0 => Err(format!(
-                    "replay finished with {} failed op(s); first failure: {first}",
-                    result.errors
-                )),
-                _ => Ok(()),
-            }
-        }
-        "stats" => {
-            let input = opts.get("in").ok_or("trace stats needs --in FILE")?;
-            let text = std::fs::read_to_string(input).map_err(|e| e.to_string())?;
-            let trace = Trace::from_text(&text).map_err(|e| e.to_string())?;
-            print!("{}", characterize(&trace).render());
-            Ok(())
-        }
-        "transform" => {
-            let input = opts.get("in").ok_or("trace transform needs --in FILE")?;
-            let out = opts.get("out").ok_or("trace transform needs --out FILE")?;
-            let text = std::fs::read_to_string(input).map_err(|e| e.to_string())?;
-            let mut trace = Trace::from_text(&text).map_err(|e| e.to_string())?;
-            let before = trace.len();
-            if let Some(extra) = opts.get("merge") {
-                let mut traces = vec![trace];
-                for path in extra.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| format!("cannot read {path}: {e}"))?;
-                    traces.push(Trace::from_text(&text).map_err(|e| format!("{path}: {e}"))?);
-                }
-                trace = merge(&traces);
-            }
-            let mut pipeline = Vec::new();
-            if let Some(verbs) = opts.get("keep-ops") {
-                pipeline.push(Transform::KeepOps(
-                    verbs.split(',').map(|v| v.trim().to_string()).collect(),
-                ));
-            }
-            if let Some(prefix) = opts.get("keep-prefix") {
-                pipeline.push(Transform::KeepPrefix(prefix.to_string()));
-            }
-            if let Some(remap) = opts.get("remap") {
-                let (from, to) = remap
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad --remap {remap:?}; expected FROM=TO"))?;
-                pipeline.push(Transform::Remap {
-                    from: from.to_string(),
-                    to: to.to_string(),
-                });
-            }
-            if let Some(clones) = opts.get("scale") {
-                let clones = clones
-                    .parse::<u32>()
-                    .map_err(|e| format!("bad --scale: {e}"))?;
-                pipeline.push(Transform::Scale { clones });
-            }
-            let transformed =
-                rb_core::trace::apply(&trace, &pipeline).map_err(|e| e.to_string())?;
-            let text = transformed.to_text().map_err(|e| e.to_string())?;
-            std::fs::write(out, text).map_err(|e| e.to_string())?;
-            println!(
-                "transformed {} -> {} ops ({}) to {out}",
-                before,
-                transformed.len(),
-                transformed.version.label()
-            );
-            Ok(())
-        }
-        other => Err(format!(
-            "unknown trace subcommand {other:?}; use record|replay|stats|transform"
+    let (sub, rest) = match args.split_first() {
+        Some((sub, rest)) => (sub.as_str(), rest),
+        None => ("", args),
+    };
+    if matches!(sub, "--help" | "-h") {
+        print!("{}", usage());
+        return Ok(());
+    }
+    match TRACE_COMMANDS.iter().find(|(name, ..)| *name == sub) {
+        Some(&(_, known, cmd)) => run(rest, known, cmd),
+        None => Err(format!(
+            "unknown trace subcommand {sub:?}; use record|replay|stats|transform"
         )),
     }
+}
+
+fn trace_record(opts: &Opts) -> Result<(), String> {
+    let out = opts.get("out").ok_or("trace record needs --out FILE")?;
+    let workload_name = opts.get("workload").unwrap_or("varmail");
+    let size = parse_size(opts.get("size").unwrap_or("8M"))?;
+    let duration = parse_duration(opts.get("duration").unwrap_or("5s"))?;
+    let workload = make_workload(workload_name, size, 25)?;
+    let mut target = rb_core::testbed::paper_ext2(Bytes::gib(1), 0);
+    let mut recorder = Recorder::new(&mut target);
+    let config = EngineConfig {
+        duration,
+        window: Nanos::from_secs(1),
+        seed: 0,
+        cold_start: false,
+        prewarm: false,
+        ..Default::default()
+    };
+    Engine::run(&mut recorder, &workload, &config).map_err(|e| e.to_string())?;
+    let trace = recorder.finish();
+    let text = trace.to_text().map_err(|e| e.to_string())?;
+    std::fs::write(out, text).map_err(|e| e.to_string())?;
+    println!(
+        "recorded {} ops ({}) to {out}",
+        trace.len(),
+        trace.version.label()
+    );
+    Ok(())
+}
+
+fn trace_replay(opts: &Opts) -> Result<(), String> {
+    let input = opts.get("in").ok_or("trace replay needs --in FILE")?;
+    let target_spec = opts.get("target").unwrap_or("sim:ext2");
+    let timing = match opts.get("timing") {
+        Some(t) => Timing::parse(t).map_err(|e| format!("--timing: {e}"))?,
+        None => Timing::Afap,
+    };
+    let seed = opts
+        .get("seed")
+        .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
+        .transpose()?
+        .unwrap_or(0);
+    let text = std::fs::read_to_string(input).map_err(|e| e.to_string())?;
+    let trace = Trace::from_text(&text).map_err(|e| e.to_string())?;
+    let mut target = make_target(target_spec, Bytes::gib(1), 0)?;
+    let result = replay_with(target.as_mut(), &trace, &ReplayConfig { timing, seed });
+    println!(
+        "replayed {} ops ({} errors) in {} on {}",
+        result.ops,
+        result.errors,
+        result.duration,
+        target.name()
+    );
+    // A failing replay must fail the command: the summary above
+    // is printed either way, but CI scripting needs the exit
+    // code — and the operator needs to know *what* failed first.
+    match result.first_error {
+        Some(first) if result.errors > 0 => Err(format!(
+            "replay finished with {} failed op(s); first failure: {first}",
+            result.errors
+        )),
+        _ => Ok(()),
+    }
+}
+
+fn trace_stats(opts: &Opts) -> Result<(), String> {
+    let input = opts.get("in").ok_or("trace stats needs --in FILE")?;
+    let text = std::fs::read_to_string(input).map_err(|e| e.to_string())?;
+    let trace = Trace::from_text(&text).map_err(|e| e.to_string())?;
+    print!("{}", characterize(&trace).render());
+    Ok(())
+}
+
+fn trace_transform(opts: &Opts) -> Result<(), String> {
+    let input = opts.get("in").ok_or("trace transform needs --in FILE")?;
+    let out = opts.get("out").ok_or("trace transform needs --out FILE")?;
+    let text = std::fs::read_to_string(input).map_err(|e| e.to_string())?;
+    let mut trace = Trace::from_text(&text).map_err(|e| e.to_string())?;
+    let before = trace.len();
+    if let Some(extra) = opts.get("merge") {
+        let mut traces = vec![trace];
+        for path in extra.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            traces.push(Trace::from_text(&text).map_err(|e| format!("{path}: {e}"))?);
+        }
+        trace = merge(&traces);
+    }
+    let mut pipeline = Vec::new();
+    if let Some(verbs) = opts.get("keep-ops") {
+        pipeline.push(Transform::KeepOps(
+            verbs.split(',').map(|v| v.trim().to_string()).collect(),
+        ));
+    }
+    if let Some(prefix) = opts.get("keep-prefix") {
+        pipeline.push(Transform::KeepPrefix(prefix.to_string()));
+    }
+    if let Some(remap) = opts.get("remap") {
+        let (from, to) = remap
+            .split_once('=')
+            .ok_or_else(|| format!("bad --remap {remap:?}; expected FROM=TO"))?;
+        pipeline.push(Transform::Remap {
+            from: from.to_string(),
+            to: to.to_string(),
+        });
+    }
+    if let Some(clones) = opts.get("scale") {
+        let clones = clones
+            .parse::<u32>()
+            .map_err(|e| format!("bad --scale: {e}"))?;
+        pipeline.push(Transform::Scale { clones });
+    }
+    let transformed = rb_core::trace::apply(&trace, &pipeline).map_err(|e| e.to_string())?;
+    let text = transformed.to_text().map_err(|e| e.to_string())?;
+    std::fs::write(out, text).map_err(|e| e.to_string())?;
+    println!(
+        "transformed {} -> {} ops ({}) to {out}",
+        before,
+        transformed.len(),
+        transformed.version.label()
+    );
+    Ok(())
+}
+
+/// A subcommand: its name, the flags its usage lists, and its body.
+type Command = (
+    &'static str,
+    &'static [&'static str],
+    fn(&Opts) -> Result<(), String>,
+);
+
+const COMMANDS: &[Command] = &[
+    (
+        "bench",
+        &[
+            "target",
+            "workload",
+            "size",
+            "files",
+            "duration",
+            "seed",
+            "prewarm",
+            "warm",
+            "arrival",
+            "faults",
+            "retry",
+            "metrics",
+            "trace-out",
+            "trace-sample",
+        ],
+        cmd_bench,
+    ),
+    (
+        "explain",
+        &[
+            "target",
+            "workload",
+            "size",
+            "files",
+            "duration",
+            "processes",
+            "seed",
+            "prewarm",
+            "warm",
+            "arrival",
+        ],
+        cmd_explain,
+    ),
+    (
+        "sweep",
+        &[
+            "workloads",
+            "sizes",
+            "files",
+            "fs",
+            "cache",
+            "processes",
+            "arrival",
+            "faults",
+            "retry",
+            "slo-p99",
+            "traces",
+            "trace-timing",
+            "protocol",
+            "runs",
+            "ci",
+            "min-runs",
+            "max-runs",
+            "confidence",
+            "budget",
+            "duration",
+            "window",
+            "jitter",
+            "jobs",
+            "seed",
+            "device",
+            "name",
+            "format",
+            "out",
+            "metrics",
+            "store",
+            "no-cache",
+            "resume",
+        ],
+        cmd_sweep,
+    ),
+    ("nano", &["fs", "quick"], cmd_nano),
+    ("table1", &[], |_| cmd_table1()),
+];
+
+/// The `trace` subcommands.
+const TRACE_COMMANDS: &[Command] = &[
+    (
+        "record",
+        &["out", "workload", "size", "duration"],
+        trace_record,
+    ),
+    ("replay", &["in", "target", "timing", "seed"], trace_replay),
+    ("stats", &["in"], trace_stats),
+    (
+        "transform",
+        &[
+            "in",
+            "out",
+            "merge",
+            "keep-ops",
+            "keep-prefix",
+            "remap",
+            "scale",
+        ],
+        trace_transform,
+    ),
+];
+
+/// Parses `args` against the subcommand's `known` flags and runs `cmd`,
+/// or prints the usage when `--help` is among them.
+fn run(
+    args: &[String],
+    known: &[&str],
+    cmd: fn(&Opts) -> Result<(), String>,
+) -> Result<(), String> {
+    let opts = Opts::parse(args, known)?;
+    if opts.help {
+        print!("{}", usage());
+        return Ok(());
+    }
+    cmd(&opts)
 }
 
 fn usage() -> &'static str {
@@ -781,7 +945,8 @@ USAGE:
                      [--store DIR] [--no-cache true] [--resume true]
   rocketbench nano   [--fs ext2|ext3|xfs] [--quick true]
   rocketbench table1
-  rocketbench trace  record --out FILE [--workload varmail] [--duration 5s]
+  rocketbench trace  record --out FILE [--workload varmail] [--size 8M]
+                     [--duration 5s]
   rocketbench trace  replay --in FILE [--target sim:xfs]
                      [--timing afap|faithful|scaled=N] [--seed 0]
   rocketbench trace  stats --in FILE
@@ -789,7 +954,9 @@ USAGE:
                      [--keep-ops read,write] [--keep-prefix /mail]
                      [--remap /mail=/spool] [--scale CLONES]
   rocketbench version | --version
-  rocketbench help
+  rocketbench help | <command> --help
+
+Flags not listed for a command, and flags given twice, are errors.
 
 `sweep` runs the declarative campaign engine: the cross product of
 --workloads x --sizes (or --files for fileset workloads) x --fs x
@@ -882,11 +1049,6 @@ fn main() -> ExitCode {
         None => ("help", &[] as &[String]),
     };
     let result = match cmd {
-        "bench" => Opts::parse(rest).and_then(|o| cmd_bench(&o)),
-        "explain" => Opts::parse(rest).and_then(|o| cmd_explain(&o)),
-        "sweep" => Opts::parse(rest).and_then(|o| cmd_sweep(&o)),
-        "nano" => Opts::parse(rest).and_then(|o| cmd_nano(&o)),
-        "table1" => cmd_table1(),
         "trace" => cmd_trace(rest),
         "version" | "--version" | "-V" => {
             println!("rocketbench {}", env!("CARGO_PKG_VERSION"));
@@ -896,7 +1058,10 @@ fn main() -> ExitCode {
             print!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n\n{}", usage())),
+        other => match COMMANDS.iter().find(|(name, ..)| *name == other) {
+            Some(&(_, known, cmd)) => run(rest, known, cmd),
+            None => Err(format!("unknown command {other:?}\n\n{}", usage())),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -929,14 +1094,107 @@ mod tests {
         assert!(parse_duration("abc").is_err());
     }
 
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
     #[test]
     fn opts_parser() {
-        let o = Opts::parse(&["--size".into(), "64M".into(), "--seed".into(), "7".into()]).unwrap();
+        let known = &["size", "seed", "dangling"];
+        let o = Opts::parse(&args(&["--size", "64M", "--seed", "7"]), known).unwrap();
         assert_eq!(o.get("size"), Some("64M"));
         assert_eq!(o.get("seed"), Some("7"));
         assert_eq!(o.get("missing"), None);
-        assert!(Opts::parse(&["oops".into()]).is_err());
-        assert!(Opts::parse(&["--dangling".into()]).is_err());
+        assert!(!o.help);
+        assert!(Opts::parse(&args(&["oops"]), known).is_err());
+        assert!(Opts::parse(&args(&["--dangling"]), known).is_err());
+    }
+
+    fn bench_flags() -> &'static [&'static str] {
+        COMMANDS.iter().find(|c| c.0 == "bench").unwrap().1
+    }
+
+    #[test]
+    fn unknown_and_repeated_flags_are_rejected_by_name() {
+        let bench = bench_flags();
+        let err = Opts::parse(&args(&["--sizee", "64M"]), bench).unwrap_err();
+        assert_eq!(err, "unknown flag --sizee");
+        let err = Opts::parse(&args(&["--size", "64M", "--size", "1G"]), bench).unwrap_err();
+        assert_eq!(err, "--size given twice");
+        // A flag of another subcommand is unknown here.
+        assert!(Opts::parse(&args(&["--jobs", "2"]), bench).is_err());
+        assert!(run(&args(&["--x", "1"]), &[], |_| Ok(())).is_err());
+    }
+
+    #[test]
+    fn help_prints_usage_instead_of_running() {
+        let refuse: fn(&Opts) -> Result<(), String> = |_| Err("ran".into());
+        assert_eq!(run(&args(&["--help"]), bench_flags(), refuse), Ok(()));
+        assert_eq!(
+            run(&args(&["--size", "8M", "-h"]), bench_flags(), refuse),
+            Ok(())
+        );
+        assert!(run(&args(&["--size", "8M"]), bench_flags(), refuse).is_err());
+        assert_eq!(cmd_trace(&args(&["--help"])), Ok(()));
+        assert_eq!(cmd_trace(&args(&["stats", "--help"])), Ok(()));
+        assert!(cmd_trace(&args(&["stats", "--out", "x"])).is_err());
+    }
+
+    #[test]
+    fn size_and_duration_overflow_is_an_error() {
+        let err = parse_size("99999999999G").unwrap_err();
+        assert!(err.contains("too large"), "{err}");
+        assert_eq!(parse_size("16383G").unwrap(), Bytes::gib(16383));
+        assert!(device_for(Bytes::new(u64::MAX / 2)).is_err());
+        let err = parse_duration("99999999999999999m").unwrap_err();
+        assert!(err.contains("too long"), "{err}");
+        assert!(
+            parse_duration("18446744074s").is_err(),
+            "nanoseconds overflow"
+        );
+        assert!(parse_duration("18446744073s").is_ok());
+    }
+
+    /// Each command accepts exactly the flags `usage()` shows for it.
+    #[test]
+    fn usage_lists_exactly_each_commands_flags() {
+        let mut shown: Vec<(String, Vec<String>)> = Vec::new();
+        let lines = usage().lines().skip_while(|l| *l != "USAGE:").skip(1);
+        for line in lines.take_while(|l| !l.contains("rocketbench version")) {
+            if let Some(rest) = line.trim_start().strip_prefix("rocketbench ") {
+                let mut words = rest.split_whitespace();
+                let mut name = words.next().unwrap().to_string();
+                if name == "trace" {
+                    name = format!("trace {}", words.next().unwrap());
+                }
+                shown.push((name, Vec::new()));
+            }
+            let flags = &mut shown.last_mut().unwrap().1;
+            for word in line.split(|c: char| c.is_whitespace() || c == '[') {
+                if let Some(flag) = word.strip_prefix("--") {
+                    flags.push(flag.trim_end_matches(']').to_string());
+                }
+            }
+        }
+        let tables = COMMANDS.iter().map(|c| (c.0.to_string(), c.1)).chain(
+            TRACE_COMMANDS
+                .iter()
+                .map(|c| (format!("trace {}", c.0), c.1)),
+        );
+        let mut checked = 0;
+        for (name, known) in tables {
+            let (_, flags) = shown
+                .iter()
+                .find(|(n, _)| *n == name)
+                .unwrap_or_else(|| panic!("{name} is missing from the usage"));
+            let mut flags = flags.clone();
+            flags.sort();
+            let mut known: Vec<String> = known.iter().map(|f| f.to_string()).collect();
+            known.sort();
+            assert_eq!(flags, known, "{name}");
+            checked += 1;
+        }
+        assert_eq!(checked, shown.len());
     }
 
     #[test]
@@ -954,7 +1212,7 @@ mod tests {
         for (k, v) in pairs {
             flags.insert(k.to_string(), v.to_string());
         }
-        Opts { flags }
+        Opts { flags, help: false }
     }
 
     #[test]
